@@ -45,7 +45,7 @@ from .simulator import (
     simulate_trial,
     write_scenario,
 )
-from .weights import WeightSpec, evaluate_weights, parse_weight_spec
+from .weights import WeightSpec, parse_weight_spec
 from .wlrt import WlrtResult, one_sided_p, weighted_logrank
 
 __version__ = "0.1.0"
@@ -74,7 +74,6 @@ __all__ = [
     "combo_reject",
     "critical_values",
     "estimate_power",
-    "evaluate_weights",
     "get_scenario",
     "null_correlation",
     "one_sided_p",

@@ -50,6 +50,7 @@ from .simulator import (
 from .weights import parse_weight_spec
 
 WORKERS_ENV = "RMWTEST_WORKERS"
+RMW_TEST = "max(lr,mw(0.5))"  # what `analyze --test rmw` runs
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +234,13 @@ def _result_payload(res: ComboResult) -> dict:
 
 
 def _cmd_analyze(ns: argparse.Namespace) -> int:
-    if ns.test.strip().lower() == "rmw":
-        w1 = parse_weight_spec(ns.w1 if ns.w1 is not None else "lr")
-        w2 = parse_weight_spec(ns.w2 if ns.w2 is not None else "mw(0.5)")
-        k1 = ns.k1 if ns.k1 is not None else 0.5
-        alpha = ns.alpha if ns.alpha is not None else 0.025
-        try:
-            spec = ComboSpec(w1, w2, k1=k1, k2=1.0 - k1, alpha=alpha)
-        except ValueError as exc:
-            raise GrammarError(str(exc)) from None
-    else:
-        if ns.w1 is not None or ns.w2 is not None or ns.k1 is not None:
-            raise GrammarError("--w1/--w2/--k1 are only valid with --test rmw")
-        parsed = parse_method_grammar(ns.test)
-        if isinstance(parsed, list):
-            raise GrammarError("analyze needs a single test; 'paper6' is a method set")
-        spec = parsed.combo
-        if ns.alpha is not None:
-            spec = replace(spec, alpha=ns.alpha)
+    test = RMW_TEST if ns.test.strip().lower() == "rmw" else ns.test
+    parsed = parse_method_grammar(test)
+    if isinstance(parsed, list):
+        raise GrammarError("analyze needs a single test; 'paper6' is a method set")
+    spec = parsed.combo
+    if ns.alpha is not None:
+        spec = replace(spec, alpha=ns.alpha)
     table = build_risk_table(read_survival_csv(ns.data))
     result = run_combo_test(spec, table)
     _emit(ns, json.dumps(_result_payload(result), indent=2) + "\n")
@@ -379,13 +369,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="input CSV with header time,event,arm")
     p.add_argument(
         "--test", default="rmw",
-        help="'rmw' (built from --w1/--w2/--k1/--alpha), a single-test grammar "
-             "like 'lr', 'mw(0.5)', 'fh(0,0.5)', or 'max(<w1>,<w2>;k1=...,alpha=...)'",
+        help=f"'rmw' (shorthand for '{RMW_TEST}'), a single-test grammar like 'lr', "
+             "'mw(0.5)', 'fh(0,0.5)', or 'max(<w1>,<w2>;k1=...,alpha=...)'",
     )
-    p.add_argument("--w1", default=None, help="first component weight (default lr)")
-    p.add_argument("--w2", default=None, help="second component weight (default mw(0.5))")
-    p.add_argument("--k1", type=float, default=None, help="alpha share of the first component (default 0.5)")
-    p.add_argument("--alpha", type=float, default=None, help="one-sided level (default 0.025)")
+    p.add_argument("--alpha", type=float, default=None, help="one-sided level for any test (default 0.025)")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_analyze)
 

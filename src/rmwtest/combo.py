@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -155,45 +155,55 @@ def union_tail(t1: float, t2: float, rho: float) -> float:
     return min(1.0, max(0.0, _q(t1) + _q(t2) - bvn_upper(t1, t2, rho)))
 
 
+def correlation_from_arrays(
+    wa: np.ndarray, wb: np.ndarray, var: np.ndarray, va: float, vb: float
+) -> float:
+    """Null correlation of two weighted statistics on one risk table, in [0, 1].
+
+    ``var`` holds the per-time null variances and ``va``, ``vb`` the two
+    component variances that statistic_from_arrays returns. A negative
+    estimate, possible only with signed weights, warns and becomes 0.
+    """
+    correlation = _acc_sum(wa * wb * var) / math.sqrt(va * vb)
+    if correlation < 0.0:
+        warnings.warn(
+            f"estimated correlation {correlation:.6f} is negative; clamping to 0",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return 0.0
+    return min(correlation, 1.0)
+
+
+def _z_and_correlation(
+    w1: WeightSpec, w2: WeightSpec, table: Sequence[RiskTableRow]
+) -> tuple[float, float, float]:
+    risk = rows_to_arrays(table)
+    mean, var = moment_arrays(risk)
+    wa = weights_from_km_left(w1, risk.km_left)
+    wb = weights_from_km_left(w2, risk.km_left)
+    _, va, z1 = statistic_from_arrays(wa, risk, mean, var)
+    _, vb, z2 = statistic_from_arrays(wb, risk, mean, var)
+    return z1, z2, correlation_from_arrays(wa, wb, var, va, vb)
+
+
 def null_correlation(
     w1: WeightSpec, w2: WeightSpec, table: Sequence[RiskTableRow]
 ) -> float:
     """Null correlation of the two standardized statistics on one risk table.
 
     This is the weighted cross-sum of per-time variances over the geometric
-    mean of the two component variances.
+    mean of the two component variances, clamped to [0, 1].
     """
-    risk = rows_to_arrays(table)
-    _, var = moment_arrays(risk)
-    wa = weights_from_km_left(w1, risk.km_left)
-    wb = weights_from_km_left(w2, risk.km_left)
-    return _correlation_from_arrays(wa, wb, var)
+    return _z_and_correlation(w1, w2, table)[2]
 
 
-def _correlation_from_arrays(wa: np.ndarray, wb: np.ndarray, var: np.ndarray) -> float:
-    va = _acc_sum(wa * wa * var)
-    vb = _acc_sum(wb * wb * var)
-    if va <= 0.0 or vb <= 0.0:
-        raise NumericalError("degenerate variance")
-    return _acc_sum(wa * wb * var) / math.sqrt(va * vb)
-
-
-def _solve_decreasing(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of a decreasing function, bracket expanded geometrically from [lo, hi]."""
-    flo = f(lo)
-    fhi = f(hi)
-    expansions = 0
-    while flo * fhi > 0.0:
-        expansions += 1
-        if expansions > 20:
-            raise NumericalError("critical value search failed")
-        lo, hi = hi, lo + (hi - lo) * 2.0
-        flo, fhi = fhi, f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    return float(bisect(f, lo, hi, xtol=1e-12, maxiter=200))
+def _ray(spec: ComboSpec, alpha: float) -> tuple[float, float]:
+    """Direction of the threshold pair: (1, 1) for an equal split, otherwise
+    the per-component quantiles ndtri(1 - k_i * alpha)."""
+    if spec.k1 == spec.k2:
+        return 1.0, 1.0
+    return float(ndtri(1.0 - spec.k1 * alpha)), float(ndtri(1.0 - spec.k2 * alpha))
 
 
 def critical_values(spec: ComboSpec, correlation: float) -> tuple[float, float, float]:
@@ -203,71 +213,68 @@ def critical_values(spec: ComboSpec, correlation: float) -> tuple[float, float, 
     equal to c. Unequal split solves for the common scaling c applied to
     the per-component quantiles ndtri(1 - k_i * alpha). With k2 = 0 the
     test degenerates: threshold1 = ndtri(1 - alpha), threshold2 = +inf.
+
+    The root always lies in [0, 10]: at 0 the union tail is at least 1/2,
+    and at 10 the union bound gives P(Z_i > 10 q_i) < k_i * alpha.
     """
     if math.isnan(correlation) or not 0.0 <= correlation <= 1.0:
         raise ValueError(f"correlation must lie in [0, 1], got {correlation}")
     alpha = spec.alpha
     if spec.k2 == 0.0:
         return 1.0, float(ndtri(1.0 - alpha)), math.inf
-    if spec.k1 == spec.k2:
-        c = _solve_decreasing(lambda t: union_tail(t, t, correlation) - alpha, 0.0, 10.0)
-        return c, c, c
-    q1 = float(ndtri(1.0 - spec.k1 * alpha))
-    q2 = float(ndtri(1.0 - spec.k2 * alpha))
-    c = _solve_decreasing(
-        lambda t: union_tail(t * q1, t * q2, correlation) - alpha, 0.0, 10.0
-    )
+    q1, q2 = _ray(spec, alpha)
+    c = float(bisect(
+        lambda t: union_tail(t * q1, t * q2, correlation) - alpha,
+        0.0, 10.0, xtol=1e-12, maxiter=200,
+    ))
     return c, c * q1, c * q2
+
+
+def _observed_tail(spec: ComboSpec, z1: float, z2: float, rho: float, alpha: float) -> float:
+    """Union tail at the observed statistics scaled onto the level-alpha threshold ray."""
+    if spec.k2 == 0.0:
+        return _q(z1)
+    q1, q2 = _ray(spec, alpha)
+    m = max(z1 / q1, z2 / q2)
+    return union_tail(m * q1, m * q2, rho)
+
+
+def _rejects(spec: ComboSpec, z1: float, z2: float, rho: float, alpha: float) -> bool:
+    """The one rejection rule: some statistic reaches its level-alpha threshold."""
+    return _observed_tail(spec, z1, z2, rho, alpha) <= alpha
 
 
 def combo_reject(spec: ComboSpec, z1: float, z2: float, correlation: float) -> bool:
     """Rejection decision at level ``spec.alpha``, without solving for thresholds.
 
-    Uses the monotone equivalence: z exceeds its threshold iff the union
+    Uses the monotone equivalence: z reaches its threshold iff the union
     tail evaluated at the observed statistics (scaled onto the component
-    quantiles) falls below alpha. Agrees with critical_values up to root
-    tolerance at the boundary.
+    quantiles) is at most alpha. This is the rule combo_pvalue inverts, so
+    ``combo_pvalue(...) <= spec.alpha`` implies rejection.
     """
-    if spec.k2 == 0.0:
-        return z1 > float(ndtri(1.0 - spec.alpha))
-    if spec.k1 == spec.k2:
-        zmax = max(z1, z2)
-        return union_tail(zmax, zmax, correlation) < spec.alpha
-    q1 = float(ndtri(1.0 - spec.k1 * spec.alpha))
-    q2 = float(ndtri(1.0 - spec.k2 * spec.alpha))
-    m = max(z1 / q1, z2 / q2)
-    return union_tail(m * q1, m * q2, correlation) < spec.alpha
+    return _rejects(spec, z1, z2, correlation, spec.alpha)
 
 
 def combo_pvalue(spec: ComboSpec, z1: float, z2: float, correlation: float) -> float:
     """Smallest level at which the test would reject the observed statistics.
 
-    For the equal split this is the union tail at max(z1, z2) evaluated
-    directly; for unequal splits it is found by bisection over the level,
-    to absolute tolerance 1e-10, clamped to (1e-12, 0.5].
+    For single tests and the equal split the threshold ray does not depend
+    on the level, so this is the union tail at the observed statistics; for
+    unequal splits it is found by bisecting the rejection rule over the
+    level, to absolute tolerance 1e-10, clamped to (1e-12, 0.5].
     """
     if math.isnan(correlation) or not 0.0 <= correlation <= 1.0:
         raise ValueError(f"correlation must lie in [0, 1], got {correlation}")
-    if spec.k2 == 0.0:
-        return _clamp_p(_q(z1))
-    if spec.k1 == spec.k2:
-        zmax = max(z1, z2)
-        return _clamp_p(union_tail(zmax, zmax, correlation))
-
-    def rejects(alpha: float) -> bool:
-        q1 = float(ndtri(1.0 - spec.k1 * alpha))
-        q2 = float(ndtri(1.0 - spec.k2 * alpha))
-        m = max(z1 / q1, z2 / q2)
-        return union_tail(m * q1, m * q2, correlation) <= alpha
-
+    if spec.k2 == 0.0 or spec.k1 == spec.k2:
+        return _clamp_p(_observed_tail(spec, z1, z2, correlation, spec.alpha))
     lo, hi = 1e-12, 0.5
-    if rejects(lo):
+    if _rejects(spec, z1, z2, correlation, lo):
         return lo
-    if not rejects(hi):
+    if not _rejects(spec, z1, z2, correlation, hi):
         return hi
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if rejects(mid):
+        if _rejects(spec, z1, z2, correlation, mid):
             hi = mid
         else:
             lo = mid
@@ -280,21 +287,7 @@ def _clamp_p(p: float) -> float:
 
 def run_combo_test(spec: ComboSpec, table: Sequence[RiskTableRow]) -> ComboResult:
     """Run the full max-combo test on one risk table."""
-    risk = rows_to_arrays(table)
-    mean, var = moment_arrays(risk)
-    wa = weights_from_km_left(spec.w1, risk.km_left)
-    wb = weights_from_km_left(spec.w2, risk.km_left)
-    _, _, z1 = statistic_from_arrays(wa, risk, mean, var)
-    _, _, z2 = statistic_from_arrays(wb, risk, mean, var)
-    correlation = _correlation_from_arrays(wa, wb, var)
-    if correlation < 0.0:
-        warnings.warn(
-            f"estimated correlation {correlation:.6f} is negative; clamping to 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        correlation = 0.0
-    correlation = min(correlation, 1.0)
+    z1, z2, correlation = _z_and_correlation(spec.w1, spec.w2, table)
     c, t1, t2 = critical_values(spec, correlation)
     return ComboResult(
         z1=z1,
@@ -303,6 +296,6 @@ def run_combo_test(spec: ComboSpec, table: Sequence[RiskTableRow]) -> ComboResul
         c=c,
         threshold1=t1,
         threshold2=t2,
-        reject=bool(z1 > t1 or z2 > t2),
+        reject=combo_reject(spec, z1, z2, correlation),
         p_value=combo_pvalue(spec, z1, z2, correlation),
     )

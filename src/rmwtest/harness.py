@@ -18,12 +18,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .combo import ComboSpec, combo_reject
+from .combo import ComboSpec, combo_reject, correlation_from_arrays
 from .dataset import risk_arrays
 from .errors import DataError, NumericalError
 from .simulator import Scenario, _trial_arrays
 from .weights import WeightSpec, weights_from_km_left
-from .wlrt import _acc_sum, moment_arrays, statistic_from_arrays
+from .wlrt import moment_arrays, statistic_from_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -137,10 +137,10 @@ def _replicate_row(plan: _RunPlan, time, event, arm) -> np.ndarray:
     mean, var = moment_arrays(risk)
     w = [weights_from_km_left(spec, risk.km_left) for spec in plan.specs]
     stats = [statistic_from_arrays(wi, risk, mean, var) for wi in w]
-    rho = {}
-    for i, j in plan.pairs:
-        r = _acc_sum(w[i] * w[j] * var) / math.sqrt(stats[i][1] * stats[j][1])
-        rho[(i, j)] = min(max(r, 0.0), 1.0)
+    rho = {
+        (i, j): correlation_from_arrays(w[i], w[j], var, stats[i][1], stats[j][1])
+        for i, j in plan.pairs
+    }
     row = np.empty(len(plan.methods), dtype=bool)
     for m, method in enumerate(plan.methods):
         i, j = plan.components[m]

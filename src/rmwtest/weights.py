@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .dataset import RiskTableRow
 from .errors import GrammarError
 
 CONSTANT = "constant"
@@ -84,13 +82,6 @@ def weights_from_km_left(spec: WeightSpec, km_left: np.ndarray) -> np.ndarray:
     if spec.family == MODEST:
         return 1.0 / np.maximum(km_left, spec.s_star)
     return km_left**spec.rho * (1.0 - km_left) ** spec.gamma
-
-
-def evaluate_weights(spec: WeightSpec, table: Sequence[RiskTableRow]) -> list[float]:
-    """One weight per risk-table row, in row order."""
-    if len(table) == 0:
-        raise ValueError("empty risk table")
-    return weights_from_km_left(spec, np.array([r.km_left for r in table])).tolist()
 
 
 _SPEC_RE = re.compile(r"^\s*(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*(?:\((?P<args>[^)]*)\)\s*)?$")

@@ -42,22 +42,12 @@ class WlrtResult:
     per_time_var: list[float]
 
 
-def hypergeometric_moments(row: RiskTableRow) -> tuple[float, float]:
-    """Null mean and variance of the arm-1 event count at one event time.
+def moment_arrays(risk: RiskArrays) -> tuple[np.ndarray, np.ndarray]:
+    """Null mean and variance of the arm-1 event count at every event time.
 
     Mean is n1*d/n; variance is n1*(n-n1)*d*(n-d) / (n^2*(n-1)), defined
     as 0 when the risk set has a single subject.
     """
-    n, n1, d = row.n_total, row.n_arm1, row.d_total
-    mean = n1 * d / n
-    if n <= 1:
-        return mean, 0.0
-    var = n1 * (n - n1) * d * (n - d) / (n * n * (n - 1))
-    return mean, var
-
-
-def moment_arrays(risk: RiskArrays) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized hypergeometric moments over all risk-table rows."""
     n = risk.n_total.astype(np.float64)
     n1 = risk.n_arm1.astype(np.float64)
     d = risk.d_total.astype(np.float64)

@@ -117,12 +117,17 @@ class TestAnalyze:
         assert manifest["outputs"] == [str(out)]
         assert "timestamp_utc" in manifest
 
-    def test_component_flags_require_rmw_test(self, trial_csv, capsys):
-        code = main([
-            "analyze", "--data", str(trial_csv), "--test", "lr", "--w1", "lr",
-        ])
-        assert code == 2
-        assert "only valid with --test rmw" in capsys.readouterr().err
+    def test_rmw_is_shorthand_for_lr_mw_combo(self, trial_csv, tmp_path):
+        out = tmp_path / "result.json"
+        for alpha in ([], ["--alpha", "0.05"]):
+            outs = []
+            for test in ("rmw", "max(lr,mw(0.5))"):
+                assert main([
+                    "analyze", "--data", str(trial_csv), "--test", test, *alpha,
+                    "--out", str(out),
+                ]) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]
 
     def test_grammar_error_exits_2(self, trial_csv, capsys):
         assert main(["analyze", "--data", str(trial_csv), "--test", "max(lr)"]) == 2

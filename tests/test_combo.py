@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtr, ndtri
 
 import rmwtest.combo as combo_module
+import rmwtest.harness as harness_module
 from rmwtest.combo import (
     ComboSpec,
     bvn_upper,
@@ -21,6 +22,7 @@ from rmwtest.combo import (
 )
 from rmwtest.dataset import SurvivalRecord, build_risk_table
 from rmwtest.errors import NumericalError
+from rmwtest.harness import MethodSpec
 from rmwtest.simulator import BUILTIN_SCENARIOS, simulate_trial
 from rmwtest.weights import WeightSpec
 
@@ -192,6 +194,16 @@ class TestCriticalValues:
         cs = [critical_values(spec, rho)[0] for rho in (0.0, 0.25, 0.5, 0.75, 0.95, 1.0)]
         assert all(a > b for a, b in zip(cs, cs[1:]))
 
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    def test_extreme_specs_solve_inside_fixed_bracket(self, rho):
+        """The root search brackets [0, 10] without expansion, even with alpha
+        near 1/2 and nearly all of it on one component."""
+        for k1, alpha in ((0.999, 0.4999), (0.5, 0.4999), (0.999, 1e-6), (1.0 - 1e-9, 0.49)):
+            spec = ComboSpec(LR, MW, k1, 1.0 - k1, alpha=alpha)
+            c, t1, t2 = critical_values(spec, rho)
+            assert 0.0 < c < 10.0
+            assert_allclose(union_tail(t1, t2, rho), alpha, atol=1e-9)
+
     def test_invalid_correlation_rejected(self):
         spec = ComboSpec(LR, MW)
         with pytest.raises(ValueError):
@@ -222,19 +234,27 @@ class TestComboPvalue:
         assert min(t1 - z1, t2 - z2) == pytest.approx(0.0, abs=1e-6)
 
     def test_p_and_reject_agree(self):
+        """p <= alpha implies rejection exactly; rejection implies p <= alpha
+        up to the p-value's bisection tolerance."""
         rng = np.random.default_rng(5)
         specs = [
             ComboSpec(LR, MW, 0.5, 0.5),
             ComboSpec(LR, MW, 0.6, 0.4),
             ComboSpec(LR, FH, 0.75, 0.25),
+            ComboSpec(LR, LR, 1.0, 0.0),
+            ComboSpec(LR, MW, 0.6, 0.4, alpha=0.1),
+            ComboSpec(LR, MW, 0.95, 0.05, alpha=0.005),
         ]
         for _ in range(60):
             z1, z2 = rng.normal(1.9, 0.5, size=2)
-            rho = rng.uniform(0.2, 0.99)
-            for spec in specs:
-                p = combo_pvalue(spec, z1, z2, rho)
-                if abs(p - spec.alpha) > 1e-7:  # stay off the root tolerance
-                    assert (p < spec.alpha) == combo_reject(spec, z1, z2, rho)
+            for rho in (rng.uniform(0.2, 0.99), 0.0, 1.0):
+                for spec in specs:
+                    p = combo_pvalue(spec, z1, z2, rho)
+                    reject = combo_reject(spec, z1, z2, rho)
+                    if p <= spec.alpha:
+                        assert reject
+                    if reject:
+                        assert p <= spec.alpha + 1e-10
 
     def test_monotone_in_evidence(self):
         spec = ComboSpec(LR, MW, 0.6, 0.4)
@@ -255,7 +275,8 @@ class TestRunComboTest:
         assert 0.0 <= res.correlation <= 1.0
         assert res.threshold1 == res.threshold2 == res.c
         assert res.reject == (res.z1 > res.threshold1 or res.z2 > res.threshold2)
-        assert res.reject == (res.p_value < spec.alpha)
+        assert res.reject == (res.p_value <= spec.alpha)
+        assert res.reject == combo_reject(spec, res.z1, res.z2, res.correlation)
         assert 0.0 < res.p_value < 1.0
 
     def test_single_test_matches_wlrt(self):
@@ -270,20 +291,28 @@ class TestRunComboTest:
 
     def test_negative_correlation_clamped_with_warning(self, monkeypatch):
         """Anti-correlated weight vectors trip the clamp (impossible with the
-        built-in nonnegative families, so inject a signed weight vector)."""
+        built-in nonnegative families, so inject a signed weight vector), on
+        the analyze path and on the harness path alike."""
         records = simulate_trial(BUILTIN_SCENARIOS["high_equal"], seed=6)
         table = build_risk_table(records)
         real = combo_module.weights_from_km_left
-        state = {"calls": 0}
 
         def signed(spec, km_left):
-            state["calls"] += 1
             w = real(spec, km_left)
-            return -w if state["calls"] % 2 == 0 else w
+            return -w if spec == MW else w
 
         monkeypatch.setattr(combo_module, "weights_from_km_left", signed)
+        monkeypatch.setattr(harness_module, "weights_from_km_left", signed)
+        seen = []
+        monkeypatch.setattr(
+            harness_module, "combo_reject", lambda spec, z1, z2, rho: seen.append(rho) or False
+        )
+        columns = [np.array(c) for c in zip(*((r.time, r.event, r.arm) for r in records))]
+        plan = harness_module._RunPlan([MethodSpec("rMW", ComboSpec(LR, MW, 0.5, 0.5))])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = run_combo_test(ComboSpec(LR, MW, 0.5, 0.5), table)
+            harness_module._replicate_row(plan, *columns)
         assert res.correlation == 0.0
-        assert any("clamping" in str(w.message) for w in caught)
+        assert seen == [0.0]
+        assert sum("clamping" in str(w.message) for w in caught) == 2

@@ -7,13 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from rmwtest.combo import ComboSpec
+from rmwtest.combo import ComboSpec, run_combo_test
+from rmwtest.dataset import SurvivalRecord, build_risk_table
 from rmwtest.errors import DataError
 from rmwtest.harness import (
     AssuranceSpec,
     MethodSpec,
     OperatingCharacteristics,
+    _RunPlan,
     _decision_block,
+    _replicate_row,
     assurance,
     estimate_power,
     paper_methods,
@@ -21,7 +24,13 @@ from rmwtest.harness import (
     write_power_csv,
     write_power_json,
 )
-from rmwtest.simulator import PiecewiseHazard, Scenario, scenario_hash
+from rmwtest.simulator import (
+    BUILTIN_SCENARIOS,
+    PiecewiseHazard,
+    Scenario,
+    _trial_arrays,
+    scenario_hash,
+)
 from rmwtest.weights import WeightSpec
 
 LR = WeightSpec.constant()
@@ -93,6 +102,19 @@ class TestEstimatePower:
         rows, degenerate = _decision_block(MINI, methods, seed=5, start=0, stop=150)
         assert not degenerate
         assert np.array_equal(rows[:, 0], rows[:, 1])
+
+    @pytest.mark.parametrize("scenario", ["high_equal", "high_delayed"])
+    def test_replicate_row_matches_run_combo_test(self, scenario):
+        """The harness and analyze reach the same decision on every method."""
+        methods = paper_methods()
+        plan = _RunPlan(methods)
+        for rep in range(40):
+            time, event, arm = _trial_arrays(BUILTIN_SCENARIOS[scenario], 4, rep)
+            table = build_risk_table(
+                [SurvivalRecord(t, e, a) for t, e, a in zip(time, event, arm)]
+            )
+            want = [run_combo_test(m.combo, table).reject for m in methods]
+            assert _replicate_row(plan, time, event, arm).tolist() == want
 
     def test_replicate_decisions_independent_of_blocking(self):
         methods = paper_methods()[:3]

@@ -5,21 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rmwtest.errors import GrammarError
-from rmwtest.weights import (
-    WeightSpec,
-    evaluate_weights,
-    parse_weight_spec,
-    weights_from_km_left,
-)
-from rmwtest.dataset import RiskTableRow
-
-
-def _table_with_km(km_values):
-    """Minimal rows carrying the km_left values under test."""
-    return [
-        RiskTableRow(tau=float(i + 1), n_total=10, n_arm1=5, d_total=1, d_arm1=0, km_left=km)
-        for i, km in enumerate(km_values)
-    ]
+from rmwtest.weights import WeightSpec, parse_weight_spec, weights_from_km_left
 
 
 class TestWeightSpec:
@@ -46,13 +32,14 @@ class TestWeightSpec:
 
 
 class TestEvaluateWeights:
+    """Weight values at given pooled Kaplan-Meier left-limits."""
+
     def test_constant_all_one(self):
-        table = _table_with_km([1.0, 0.8, 0.4])
-        assert evaluate_weights(WeightSpec.constant(), table) == [1.0, 1.0, 1.0]
+        w = weights_from_km_left(WeightSpec.constant(), np.array([1.0, 0.8, 0.4]))
+        assert w.tolist() == [1.0, 1.0, 1.0]
 
     def test_modest_first_row_is_one(self):
-        table = _table_with_km([1.0, 0.7, 0.3, 0.1])
-        w = evaluate_weights(WeightSpec.modest(0.5), table)
+        w = weights_from_km_left(WeightSpec.modest(0.5), np.array([1.0, 0.7, 0.3, 0.1]))
         assert w[0] == 1.0
         # weights rise to 1/s* and then stay flat
         assert_allclose(w, [1.0, 1.0 / 0.7, 2.0, 2.0], rtol=1e-15)
@@ -67,26 +54,20 @@ class TestEvaluateWeights:
 
     def test_fh_first_event_weight_zero(self):
         """FH(0, gamma>0) gives the first event (km_left = 1) zero weight."""
-        table = _table_with_km([1.0, 0.6])
-        w = evaluate_weights(WeightSpec.fleming_harrington(0, 0.5), table)
+        w = weights_from_km_left(WeightSpec.fleming_harrington(0, 0.5), np.array([1.0, 0.6]))
         assert w[0] == 0.0
         assert_allclose(w[1], np.sqrt(0.4), rtol=1e-15)
 
     def test_fh_zero_zero_equals_constant(self):
         """0^0 = 1 so FH(0,0) is exactly the unweighted test."""
-        table = _table_with_km([1.0, 0.5, 0.0])
-        w = evaluate_weights(WeightSpec.fleming_harrington(0, 0), table)
-        assert w == [1.0, 1.0, 1.0]
+        w = weights_from_km_left(WeightSpec.fleming_harrington(0, 0), np.array([1.0, 0.5, 0.0]))
+        assert w.tolist() == [1.0, 1.0, 1.0]
 
     def test_fh_general(self):
         w = weights_from_km_left(
             WeightSpec.fleming_harrington(1.0, 2.0), np.array([0.75])
         )
         assert_allclose(w, [0.75 * 0.25**2], rtol=1e-15)
-
-    def test_empty_table_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_weights(WeightSpec.constant(), [])
 
 
 class TestGrammar:

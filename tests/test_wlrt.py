@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rmwtest.dataset import SurvivalRecord, build_risk_table, risk_arrays, rows_to_arrays
+from rmwtest.dataset import RiskArrays, SurvivalRecord, build_risk_table, risk_arrays
 from rmwtest.errors import NumericalError
 from rmwtest.weights import WeightSpec, weights_from_km_left
 from rmwtest.wlrt import (
-    hypergeometric_moments,
     moment_arrays,
     one_sided_p,
     statistic_from_arrays,
@@ -30,46 +29,44 @@ from oracles import (
 TWO_SUBJECTS = [SurvivalRecord(1.0, 1, 0), SurvivalRecord(2.0, 1, 1)]
 
 
+def _moments(n, n1, d):
+    """moment_arrays over risk-table columns n_total, n_arm1, d_total."""
+    n, n1, d = (np.asarray(c, dtype=np.int64) for c in (n, n1, d))
+    ones = np.ones(len(n))
+    risk = RiskArrays(tau=ones, n_total=n, n_arm1=n1, d_total=d, d_arm1=0 * d, km_left=ones)
+    mean, var = moment_arrays(risk)
+    return mean.tolist(), var.tolist()
+
+
 class TestHypergeometricMoments:
     def test_two_subjects_one_event(self):
-        from rmwtest.dataset import RiskTableRow
-
-        row = RiskTableRow(tau=1.0, n_total=2, n_arm1=1, d_total=1, d_arm1=0, km_left=1.0)
-        mean, var = hypergeometric_moments(row)
+        (mean,), (var,) = _moments([2], [1], [1])
         assert mean == 0.5
         assert var == 0.25
 
     def test_degenerate_risk_set(self):
-        from rmwtest.dataset import RiskTableRow
-
-        row = RiskTableRow(tau=2.0, n_total=1, n_arm1=1, d_total=1, d_arm1=1, km_left=0.5)
-        mean, var = hypergeometric_moments(row)
+        (mean,), (var,) = _moments([1], [1], [1])
         assert mean == 1.0
         assert var == 0.0
 
     def test_ten_subjects(self):
-        from rmwtest.dataset import RiskTableRow
-
-        row = RiskTableRow(tau=1.0, n_total=10, n_arm1=5, d_total=2, d_arm1=1, km_left=1.0)
-        mean, var = hypergeometric_moments(row)
+        (mean,), (var,) = _moments([10], [5], [2])
         assert mean == 1.0
         assert_allclose(var, 4.0 / 9.0, rtol=1e-15)
 
     def test_matches_enumeration(self):
         """Closed form equals exhaustive enumeration for every (n, n1, d) grid point."""
-        from rmwtest.dataset import RiskTableRow
-
-        for n in range(2, 13):
-            for n1 in range(0, n + 1):
-                for d in range(1, n + 1):
-                    row = RiskTableRow(
-                        tau=1.0, n_total=n, n_arm1=n1, d_total=d,
-                        d_arm1=max(0, d - (n - n1)), km_left=1.0,
-                    )
-                    mean, var = hypergeometric_moments(row)
-                    ref_mean, ref_var = hypergeometric_moments_oracle(n, n1, d)
-                    assert_allclose(mean, ref_mean, atol=1e-13)
-                    assert_allclose(var, ref_var, atol=1e-13)
+        grid = [
+            (n, n1, d)
+            for n in range(2, 13)
+            for n1 in range(0, n + 1)
+            for d in range(1, n + 1)
+        ]
+        means, variances = _moments(*zip(*grid))
+        for (n, n1, d), mean, var in zip(grid, means, variances):
+            ref_mean, ref_var = hypergeometric_moments_oracle(n, n1, d)
+            assert_allclose(mean, ref_mean, atol=1e-13)
+            assert_allclose(var, ref_var, atol=1e-13)
 
 
 class TestWeightedLogrank:
