@@ -91,38 +91,57 @@ def risk_arrays(time: np.ndarray, event: np.ndarray, arm: np.ndarray) -> RiskArr
     at an event time is still at risk for events at that time. Only times
     with at least one event get a row; censoring-only times contribute
     through the at-risk counts alone.
+
+    The table is built from four value sorts (all times, arm-1 times, event
+    times, arm-1 event times) and binary-search counts on them: ``tau`` and
+    ``d_total`` are the runs of equal sorted event times, ``d_arm1`` is the
+    number of sorted arm-1 event times equal to ``tau``, and the at-risk
+    counts are the subjects whose time is not below ``tau`` (a left-side
+    ``searchsorted``, which is the tie rule above). Every column is an
+    integer count that does not depend on the order of tied values, or
+    ``km_left`` computed from those counts, so the result does not depend
+    on the record order. ``event`` and ``arm`` must hold only 0 and 1, and
+    all three columns must be 1-D and of equal length; anything else
+    raises ``DataError``.
     """
     time = np.asarray(time, dtype=np.float64)
-    event = np.asarray(event, dtype=bool)
+    event = np.asarray(event)
     arm = np.asarray(arm)
+    if time.ndim != 1 or event.shape != time.shape or arm.shape != time.shape:
+        raise DataError("time, event and arm must be 1-D columns of equal length")
     if time.size == 0:
         raise DataError("no data")
-    if not np.all(np.isfinite(time)) or np.any(time < 0):
+    # min/max are NaN when any time is NaN, which fails both comparisons
+    if not (time.min() >= 0.0 and time.max() < math.inf):
         raise DataError("time must be finite and >= 0")
-    if not np.all((arm == 0) | (arm == 1)):
+    is_event = event == 1
+    n_events = np.count_nonzero(is_event)
+    if n_events + np.count_nonzero(event == 0) != event.size:
+        raise DataError("event must be 0 or 1")
+    in_arm1 = arm == 1
+    arm1_count = np.count_nonzero(in_arm1)
+    if arm1_count + np.count_nonzero(arm == 0) != arm.size:
         raise DataError("arm must be 0 or 1")
-    if not event.any():
+    if n_events == 0:
         raise DataError("no events")
-    if arm.min() == arm.max():
+    if arm1_count in (0, arm.size):
         raise DataError("one arm missing")
 
-    order = np.argsort(time, kind="stable")
-    t_sorted = time[order]
-    e_sorted = event[order]
-    a_sorted = arm[order].astype(np.float64)
+    t_all = np.sort(time)
+    t_arm1 = np.sort(time[in_arm1])
+    t_event = np.sort(time[is_event])
+    t_event1 = np.sort(time[is_event & in_arm1])
 
-    event_times = t_sorted[e_sorted]
-    event_arm1 = a_sorted[e_sorted]
-    tau, d_total = np.unique(event_times, return_counts=True)
-    d_arm1 = np.bincount(
-        np.searchsorted(tau, event_times), weights=event_arm1, minlength=len(tau)
-    )
-
-    # subjects with time >= tau remain at risk (exact value equality on ties)
-    n_before = np.searchsorted(t_sorted, tau, side="left")
-    n_total = time.size - n_before
-    arm1_cum = np.concatenate(([0.0], np.cumsum(a_sorted)))
-    n_arm1 = arm1_cum[-1] - arm1_cum[n_before]
+    # tau and d_total are the runs of equal sorted event times
+    starts = np.flatnonzero(np.concatenate(([True], t_event[1:] != t_event[:-1])))
+    tau = t_event[starts]
+    d_total = np.diff(starts, append=t_event.size)
+    # every arm-1 event time is some tau, so the arm-1 events at tau are
+    # those at or after tau less those at or after the next tau
+    d_arm1 = np.diff(np.searchsorted(t_event1, tau, side="left"), append=t_event1.size)
+    # at risk at tau: time >= tau, so a subject censored at tau still counts
+    n_total = t_all.size - np.searchsorted(t_all, tau, side="left")
+    n_arm1 = t_arm1.size - np.searchsorted(t_arm1, tau, side="left")
 
     km = np.cumprod(1.0 - d_total / n_total)
     km_left = np.concatenate(([1.0], km[:-1]))
@@ -180,9 +199,11 @@ def read_survival_csv(path: str) -> list[SurvivalRecord]:
     """Read subject records from a ``time,event,arm`` CSV file.
 
     Malformed rows are hard errors that report the 1-based line number.
+    A leading UTF-8 byte order mark and CRLF line ends, as spreadsheets
+    write them, are accepted.
     """
     records: list[SurvivalRecord] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -33,6 +33,31 @@ def risk_table_oracle(time, event, arm):
     return rows
 
 
+def risk_table_matrix_oracle(time, event, arm):
+    """The same summaries as risk_table_oracle, by subject-by-time masks.
+
+    Fast enough for full-size trials: one boolean (event time x subject)
+    matrix per count, summed along subjects. Returns arrays
+    (tau, n, n1, d, d1, km_left); km_left is built by a Python loop.
+    """
+    time = np.asarray(time, dtype=float)
+    event = np.asarray(event) == 1
+    arm1 = np.asarray(arm) == 1
+    tau = np.array(sorted({float(t) for t, e in zip(time, event) if e}))
+    at_risk = time[None, :] >= tau[:, None]
+    dies = (time[None, :] == tau[:, None]) & event[None, :]
+    n = at_risk.sum(axis=1)
+    n1 = (at_risk & arm1[None, :]).sum(axis=1)
+    d = dies.sum(axis=1)
+    d1 = (dies & arm1[None, :]).sum(axis=1)
+    km_left = []
+    surv = 1.0
+    for d_i, n_i in zip(d.tolist(), n.tolist()):
+        km_left.append(surv)
+        surv *= 1.0 - d_i / n_i
+    return tau, n, n1, d, d1, np.array(km_left)
+
+
 def weighted_logrank_oracle(time, event, arm, weight_of_km):
     """(g, variance, z) with weights given as a function of km_left.
 

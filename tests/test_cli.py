@@ -136,6 +136,12 @@ class TestAnalyze:
     def test_missing_data_file_exits_3(self, tmp_path, capsys):
         assert main(["analyze", "--data", str(tmp_path / "absent.csv")]) == 3
 
+    def test_bad_header_exits_3_with_or_without_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(bom + b"time,status,arm\n1.0,1,0\n2.0,0,1\n")
+            assert main(["analyze", "--data", str(path)]) == 3
+
     def test_zero_variance_data_exits_4(self, tmp_path, capsys):
         # every subject dies at the same instant: the statistic has no spread
         path = tmp_path / "flat.csv"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rmwtest.dataset import (
@@ -14,8 +16,9 @@ from rmwtest.dataset import (
     write_survival_csv,
 )
 from rmwtest.errors import DataError
+from rmwtest.simulator import BUILTIN_SCENARIOS, simulate_trial
 
-from oracles import risk_table_oracle
+from oracles import risk_table_matrix_oracle, risk_table_oracle
 
 # Small worked example with ties and censoring at an event time:
 # arm 0: events at 1, 2, 2; censored at 3
@@ -23,6 +26,24 @@ from oracles import risk_table_oracle
 EX_TIME = [1.0, 2.0, 2.0, 3.0, 2.0, 1.0, 4.0]
 EX_EVENT = [1, 1, 1, 0, 1, 0, 0]
 EX_ARM = [0, 0, 0, 0, 1, 1, 1]
+
+# Small-grid times force ties; the rest stay normal after scaling by 2**+-10.
+TIMES = st.one_of(st.integers(0, 6).map(float), st.floats(1e-3, 1e3))
+SUBJECT = st.tuples(TIMES, st.integers(0, 1), st.integers(0, 1))
+
+
+@st.composite
+def trials(draw):
+    """(time, event, arm) records with at least one event and both arms."""
+    records = draw(st.lists(SUBJECT, max_size=40))
+    records.append((draw(TIMES), 1, 0))
+    records.append((draw(TIMES), draw(st.integers(0, 1)), 1))
+    return records
+
+
+def columns(records):
+    time, event, arm = zip(*records)
+    return np.array(time), np.array(event), np.array(arm)
 
 
 class TestSurvivalRecord:
@@ -92,12 +113,22 @@ class TestRiskTable:
         assert [row.tau for row in table] == [1.0, 3.0]
 
     def test_matches_oracle_on_random_data(self):
-        """Counting oracle agreement on 200 random tied datasets."""
+        """Exact counting-oracle agreement on edge cases and 200 random tied datasets."""
         from oracles import random_dataset
 
+        edge_cases = [
+            # all events tied at one time
+            ([3.0, 3.0, 3.0, 3.0, 5.0], [1, 1, 1, 1, 0], [0, 1, 0, 1, 1]),
+            # a risk set of size one at the last event time
+            ([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 1], [0, 1, 1, 0]),
+            # an event at time 0
+            ([0.0, 0.0, 1.0, 2.0], [1, 0, 1, 0], [1, 0, 0, 1]),
+            # a censoring tied with an event in the other arm
+            ([2.0, 2.0, 3.0, 1.0], [1, 0, 1, 1], [0, 1, 1, 0]),
+        ]
         rng = np.random.default_rng(42)
-        for _ in range(200):
-            time, event, arm = random_dataset(rng)
+        datasets = edge_cases + [random_dataset(rng) for _ in range(200)]
+        for time, event, arm in datasets:
             rows = risk_arrays(time, event, arm)
             expected = risk_table_oracle(time, event, arm)
             assert len(rows.tau) == len(expected)
@@ -107,7 +138,35 @@ class TestRiskTable:
                 assert rows.n_arm1[i] == ref["n1"]
                 assert rows.d_total[i] == ref["d"]
                 assert rows.d_arm1[i] == ref["d1"]
-                assert_allclose(rows.km_left[i], ref["km_left"], atol=1e-14)
+                assert rows.km_left[i] == ref["km_left"]
+
+    def test_matches_matrix_oracle_on_full_size_trials(self):
+        """Exact agreement on one replicate of every built-in scenario (N up to 6,000)."""
+        for scenario in BUILTIN_SCENARIOS.values():
+            records = simulate_trial(scenario, seed=11)
+            time, event, arm = columns([(r.time, r.event, r.arm) for r in records])
+            got = risk_arrays(time, event, arm)
+            expected = risk_table_matrix_oracle(time, event, arm)
+            for name, col, ref in zip(got._fields, got, expected):
+                assert np.array_equal(col, ref), (scenario.name, name)
+
+    @given(records=trials(), data=st.data())
+    def test_record_order_does_not_matter(self, records, data):
+        base = risk_arrays(*columns(records))
+        shuffled = risk_arrays(*columns(data.draw(st.permutations(records))))
+        for col, other in zip(base, shuffled):
+            assert col.dtype == other.dtype
+            assert col.tobytes() == other.tobytes()
+
+    @given(records=trials(), power=st.integers(-10, 10))
+    def test_power_of_two_time_scale(self, records, power):
+        """Scaling times by 2**k scales tau exactly and changes nothing else."""
+        time, event, arm = columns(records)
+        base = risk_arrays(time, event, arm)
+        scaled = risk_arrays(time * 2.0**power, event, arm)
+        assert scaled.tau.tobytes() == (base.tau * 2.0**power).tobytes()
+        for col, other in zip(base[1:], scaled[1:]):
+            assert col.tobytes() == other.tobytes()
 
     def test_rows_round_trip(self):
         table = build_risk_table(
@@ -128,6 +187,14 @@ class TestRiskTable:
     def test_single_arm_rejected(self):
         with pytest.raises(DataError, match="one arm"):
             build_risk_table([SurvivalRecord(1.0, 1, 0), SurvivalRecord(2.0, 1, 0)])
+
+    def test_event_must_be_binary(self):
+        with pytest.raises(DataError, match="event must be 0 or 1"):
+            risk_arrays([1.0, 2.0], [2, 0], [0, 1])
+
+    def test_columns_must_have_equal_length(self):
+        with pytest.raises(DataError, match="equal length"):
+            risk_arrays([1.0, 2.0, 3.0], [1, 0], [0, 1, 1])
 
     def test_row_invariants_enforced(self):
         with pytest.raises(DataError):
@@ -154,9 +221,23 @@ class TestCsv:
         back = read_survival_csv(path)
         assert [r.time for r in back] == [r.time for r in records]
 
+    def test_byte_order_mark_and_crlf_accepted(self, tmp_path):
+        # spreadsheets save CSV with a UTF-8 byte order mark and CRLF line ends
+        expected = [SurvivalRecord(1.5, 1, 0), SurvivalRecord(2.0, 0, 1)]
+        for name, raw in [
+            ("bom.csv", b"\xef\xbb\xbftime,event,arm\n1.5,1,0\n2.0,0,1\n"),
+            ("crlf.csv", b"time,event,arm\r\n1.5,1,0\r\n2.0,0,1\r\n"),
+        ]:
+            path = tmp_path / name
+            path.write_bytes(raw)
+            assert read_survival_csv(path) == expected
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,status,arm\n1.0,1,0\n")
+        with pytest.raises(DataError, match=r":1"):
+            read_survival_csv(path)
+        path.write_bytes(b"\xef\xbb\xbftime,status,arm\n1.0,1,0\n")
         with pytest.raises(DataError, match=r":1"):
             read_survival_csv(path)
 
