@@ -17,7 +17,6 @@ from .combo import (
 from .dataset import (
     CSV_HEADER,
     RiskTableRow,
-    SurvivalRecord,
     build_risk_table,
     read_survival_csv,
     write_survival_csv,
@@ -64,7 +63,6 @@ __all__ = [
     "PiecewiseHazard",
     "RiskTableRow",
     "Scenario",
-    "SurvivalRecord",
     "WeightSpec",
     "WlrtResult",
     "assurance",

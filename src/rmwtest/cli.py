@@ -241,7 +241,7 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
     spec = parsed.combo
     if ns.alpha is not None:
         spec = replace(spec, alpha=ns.alpha)
-    table = build_risk_table(read_survival_csv(ns.data))
+    table = build_risk_table(*read_survival_csv(ns.data))
     result = run_combo_test(spec, table)
     _emit(ns, json.dumps(_result_payload(result), indent=2) + "\n")
     return 0
@@ -255,8 +255,8 @@ def _resolve_scenario(ns: argparse.Namespace):
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
     scenario = _resolve_scenario(ns)
-    records = simulate_trial(scenario, ns.seed, ns.replicate)
-    _write_file_atomic(ns.out, lambda p: write_survival_csv(p, records))
+    columns = simulate_trial(scenario, ns.seed, ns.replicate)
+    _write_file_atomic(ns.out, lambda p: write_survival_csv(p, *columns))
     _write_manifest(
         ns.out, ns, [ns.out],
         {"scenario_hash": {scenario.name: scenario_hash(scenario)}},

@@ -10,34 +10,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError
 
 CSV_HEADER = ("time", "event", "arm")
-
-
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One subject: observed time in months, event flag, arm label.
-
-    ``event`` is True when the event was observed and False when the subject
-    was censored at ``time``. ``arm`` is 0 for control, 1 for experimental.
-    """
-
-    time: float
-    event: bool
-    arm: int
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.time, (int, float)) and math.isfinite(self.time) and self.time >= 0):
-            raise DataError(f"time must be finite and >= 0, got {self.time!r}")
-        if self.event not in (0, 1):
-            raise DataError(f"event must be 0 or 1, got {self.event!r}")
-        if self.arm not in (0, 1):
-            raise DataError(f"arm must be 0 or 1, got {self.arm!r}")
 
 
 @dataclass(frozen=True)
@@ -156,18 +135,15 @@ def risk_arrays(time: np.ndarray, event: np.ndarray, arm: np.ndarray) -> RiskArr
     )
 
 
-def build_risk_table(records: Sequence[SurvivalRecord]) -> list[RiskTableRow]:
-    """Reduce subject-level records to the per-event-time risk table.
+def build_risk_table(time: np.ndarray, event: np.ndarray, arm: np.ndarray) -> list[RiskTableRow]:
+    """Reduce subject-level columns to the per-event-time risk table.
 
+    Takes the same columns as ``risk_arrays`` and applies its checks.
     Requires at least one event and subjects on both arms. The result is
-    sorted strictly increasing in ``tau`` and is invariant to the input
-    record order.
+    sorted strictly increasing in ``tau`` and is invariant to the subject
+    order.
     """
-    arrays = risk_arrays(
-        np.array([r.time for r in records], dtype=np.float64),
-        np.array([r.event for r in records], dtype=bool),
-        np.array([r.arm for r in records], dtype=np.int8),
-    )
+    arrays = risk_arrays(time, event, arm)
     return [
         RiskTableRow(
             tau=float(arrays.tau[i]),
@@ -195,14 +171,17 @@ def rows_to_arrays(table: Sequence[RiskTableRow]) -> RiskArrays:
     )
 
 
-def read_survival_csv(path: str) -> list[SurvivalRecord]:
-    """Read subject records from a ``time,event,arm`` CSV file.
+def read_survival_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read ``(time, event, arm)`` columns from a ``time,event,arm`` CSV file.
 
+    Returns float64 times and int64 event and arm columns, in file order.
     Malformed rows are hard errors that report the 1-based line number.
     A leading UTF-8 byte order mark and CRLF line ends, as spreadsheets
     write them, are accepted.
     """
-    records: list[SurvivalRecord] = []
+    times: list[float] = []
+    events: list[int] = []
+    arms: list[int] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -228,14 +207,24 @@ def read_survival_csv(path: str) -> list[SurvivalRecord]:
                 raise DataError(f"{path}:{lineno}: event must be 0 or 1, got {raw_event!r}")
             if raw_arm not in ("0", "1"):
                 raise DataError(f"{path}:{lineno}: arm must be 0 or 1, got {raw_arm!r}")
-            records.append(SurvivalRecord(time=time, event=raw_event == "1", arm=int(raw_arm)))
-    return records
+            times.append(time)
+            events.append(int(raw_event))
+            arms.append(int(raw_arm))
+    return (
+        np.array(times, dtype=np.float64),
+        np.array(events, dtype=np.int64),
+        np.array(arms, dtype=np.int64),
+    )
 
 
-def write_survival_csv(path: str, records: Iterable[SurvivalRecord]) -> None:
-    """Write records in the same ``time,event,arm`` schema the reader accepts."""
+def write_survival_csv(path: str, time: np.ndarray, event: np.ndarray, arm: np.ndarray) -> None:
+    """Write columns in the same ``time,event,arm`` schema the reader accepts.
+
+    Times are written in shortest round-trip form, so reading the file back
+    gives the same float64 values.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow([repr(float(r.time)), int(r.event), int(r.arm)])
+        for t, e, a in zip(time, event, arm, strict=True):
+            writer.writerow([repr(float(t)), int(e), int(a)])

@@ -21,7 +21,8 @@ import numpy as np
 from .combo import ComboSpec, combo_reject, correlation_from_arrays
 from .dataset import risk_arrays
 from .errors import DataError, NumericalError
-from .simulator import Scenario, _trial_arrays
+# perfbench/layers.py times the harness's trial simulation under this name
+from .simulator import Scenario, simulate_trial as _trial_arrays
 from .weights import WeightSpec, weights_from_km_left
 from .wlrt import moment_arrays, statistic_from_arrays
 
@@ -277,7 +278,11 @@ def write_power_csv(path, ocs: Sequence[OperatingCharacteristics]) -> None:
 
 
 def read_power_csv(path) -> dict[str, OperatingCharacteristics]:
-    """Read rejection rates back, keyed by scenario name."""
+    """Read rejection rates back, keyed by scenario name.
+
+    Every row of a scenario must carry the same ``replicates`` and ``seed``;
+    a row that disagrees with the scenario's earlier rows is a ``DataError``.
+    """
     import csv
 
     grouped: dict[str, dict] = {}
@@ -303,6 +308,12 @@ def read_power_csv(path) -> dict[str, OperatingCharacteristics]:
             entry = grouped.setdefault(
                 scenario, {"rates": {}, "replicates": reps, "seed": seed}
             )
+            if (reps, seed) != (entry["replicates"], entry["seed"]):
+                raise DataError(
+                    f"{path}:{lineno}: replicates={reps}, seed={seed} for {scenario!r} "
+                    f"conflict with replicates={entry['replicates']}, seed={entry['seed']} "
+                    "on its earlier rows"
+                )
             if label in entry["rates"]:
                 raise DataError(f"{path}:{lineno}: duplicate method {label!r} for {scenario!r}")
             entry["rates"][label] = rate

@@ -12,11 +12,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-
-from .dataset import SurvivalRecord
 
 _KEY_MASK = (1 << 64) - 1
 
@@ -128,13 +125,15 @@ def _stream_key(seed: int, replicate: int) -> int:
     return ((replicate & _KEY_MASK) << 64) | (seed & _KEY_MASK)
 
 
-def _trial_arrays(
+def simulate_trial(
     scenario: Scenario, seed: int, replicate: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(time, event, arm) arrays for one simulated trial.
+    """Simulate one trial as (time, event, arm) columns, deterministic in (seed, replicate).
 
-    Draw order is fixed: entry uniforms for all subjects, then event
-    uniforms for all subjects, with the control arm in the first half.
+    Times are float64; event (1 observed, 0 censored) and arm (0 control,
+    1 experimental) are int64. Draw order is fixed: entry uniforms for all
+    subjects, then event uniforms for all subjects, with the control arm in
+    the first half.
     """
     n = scenario.n_total
     half = n // 2
@@ -152,15 +151,6 @@ def _trial_arrays(
     arm = np.zeros(n, dtype=np.int64)
     arm[half:] = 1
     return time, event.astype(np.int64), arm
-
-
-def simulate_trial(scenario: Scenario, seed: int, replicate: int = 0) -> list[SurvivalRecord]:
-    """Simulate one trial dataset, deterministic in (seed, replicate)."""
-    time, event, arm = _trial_arrays(scenario, seed, replicate)
-    return [
-        SurvivalRecord(time=float(t), event=int(e), arm=int(a))
-        for t, e, a in zip(time, event, arm)
-    ]
 
 
 def scenario_to_dict(s: Scenario) -> dict:

@@ -27,7 +27,7 @@ from rmwtest.combo import (
     null_correlation,
     run_combo_test,
 )
-from rmwtest.dataset import SurvivalRecord, build_risk_table, read_survival_csv
+from rmwtest.dataset import build_risk_table, read_survival_csv
 from rmwtest.errors import NumericalError
 from rmwtest.harness import (
     AssuranceSpec,
@@ -42,7 +42,7 @@ from rmwtest.simulator import (
     BUILTIN_SCENARIOS,
     PiecewiseHazard,
     Scenario,
-    _trial_arrays,
+    simulate_trial,
 )
 from rmwtest.weights import WeightSpec
 from rmwtest.wlrt import one_sided_p, weighted_logrank
@@ -219,9 +219,7 @@ class TestCriterion4OracleEquivalence:
             _, var_o, z_o = weighted_logrank_oracle(time, event, arm, constant_weight)
             if var_o <= 0.0:
                 continue  # statistic undefined; the library refuses these too
-            table = build_risk_table(
-                [SurvivalRecord(t, e, a) for t, e, a in zip(time, event, arm)]
-            )
+            table = build_risk_table(time, event, arm)
             worst_z = max(worst_z, abs(weighted_logrank(LR, table).z - z_o))
             for spec, oracle_fn in ((MW, mw_oracle), (FH, fh_oracle)):
                 try:
@@ -269,7 +267,7 @@ class TestCriterion6PermutationCalibration:
     def test_rmw_size_under_label_permutation(self):
         h = PiecewiseHazard(knots=(), rates=(0.0462,))
         scenario = Scenario("perm_equal", 500, 24.0, 12.0, h, h)
-        time, event, arm = _trial_arrays(scenario, seed=2026)
+        time, event, arm = simulate_trial(scenario, seed=2026)
         plan = _RunPlan([paper_methods()[2]])  # rMW(k1=0.5)
         rng = np.random.default_rng(7)
         n_perm = 5000
@@ -300,7 +298,7 @@ class TestCriterion7BenchmarkTrialPvalues:
         "or via RMWTEST_POPLAR_CSV (see data/README.md for the format)",
     )
     def test_poplar_pvalues(self):
-        table = build_risk_table(read_survival_csv(POPLAR_PATH))
+        table = build_risk_table(*read_survival_csv(POPLAR_PATH))
         expected = {
             "LR": 0.0028, "MW": 0.0009, "FH": 0.0006,
             "rMW(k1=0.5)": 0.0012, "rMW(k1=0.6)": 0.0015, "MaxCombo": 0.0009,

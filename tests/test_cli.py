@@ -2,18 +2,29 @@
 exit codes, manifests, and byte-level determinism of outputs."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rmwtest.cli import main, parse_method_grammar
+from rmwtest.dataset import read_survival_csv
 from rmwtest.errors import GrammarError
 from rmwtest.harness import (
     OperatingCharacteristics,
     read_power_csv,
     write_power_csv,
 )
-from rmwtest.simulator import BUILTIN_SCENARIOS, PiecewiseHazard, Scenario, write_scenario
+from rmwtest.simulator import (
+    BUILTIN_SCENARIOS,
+    PiecewiseHazard,
+    Scenario,
+    simulate_trial,
+    write_scenario,
+)
 from rmwtest.weights import WeightSpec
+
+EXAMPLE_TRIAL = Path(__file__).resolve().parents[1] / "data" / "example_trial.csv"
 
 
 class TestMethodGrammar:
@@ -142,6 +153,12 @@ class TestAnalyze:
             path.write_bytes(bom + b"time,status,arm\n1.0,1,0\n2.0,0,1\n")
             assert main(["analyze", "--data", str(path)]) == 3
 
+    def test_nan_time_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("time,event,arm\n1.0,1,0\nnan,0,1\n2.0,1,1\n")
+        assert main(["analyze", "--data", str(path)]) == 3
+        assert ":3: time must be finite" in capsys.readouterr().err
+
     def test_zero_variance_data_exits_4(self, tmp_path, capsys):
         # every subject dies at the same instant: the statistic has no spread
         path = tmp_path / "flat.csv"
@@ -176,6 +193,20 @@ class TestSimulate:
         lines = a.read_text().splitlines()
         assert lines[0] == "time,event,arm"
         assert len(lines) == 1 + BUILTIN_SCENARIOS["high_equal"].n_total
+
+    def test_reproduces_shipped_example_trial(self, tmp_path):
+        """data/example_trial.csv is high_delayed at seed 1, byte for byte, and
+        reading it back gives the simulator's columns with the same dtypes."""
+        out = tmp_path / "trial.csv"
+        assert main([
+            "simulate", "--scenario", "high_delayed", "--seed", "1", "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == EXAMPLE_TRIAL.read_bytes()
+        got = read_survival_csv(EXAMPLE_TRIAL)
+        want = simulate_trial(BUILTIN_SCENARIOS["high_delayed"], 1)
+        for col, ref in zip(got, want, strict=True):
+            assert col.dtype == ref.dtype
+            assert np.array_equal(col, ref)
 
     def test_scenario_file_and_manifest_hash(self, tmp_path):
         h = PiecewiseHazard(knots=(), rates=(0.05,))
@@ -299,6 +330,16 @@ class TestAssurance:
             "assurance", "--in", str(power_csv), "--prior", "zzz:1.0",
         ]) == 2
         assert "missing scenario" in capsys.readouterr().err
+
+    def test_conflicting_replicates_and_seed_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "power.csv"
+        path.write_text(
+            "scenario,method,rejection_rate,mc_standard_error,replicates,seed\n"
+            "high_ph,LR,0.5,0.0158,1000,0\n"
+            "high_ph,MW,0.6,0.0346,200,7\n"
+        )
+        assert main(["assurance", "--in", str(path), "--prior", "high_ph:1.0"]) == 3
+        assert ":3:" in capsys.readouterr().err
 
     def test_missing_power_csv_exits_3(self, tmp_path):
         assert main([

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ndtr, ndtri
 
@@ -20,7 +22,7 @@ from rmwtest.combo import (
     run_combo_test,
     union_tail,
 )
-from rmwtest.dataset import SurvivalRecord, build_risk_table
+from rmwtest.dataset import build_risk_table
 from rmwtest.errors import NumericalError
 from rmwtest.harness import MethodSpec
 from rmwtest.simulator import BUILTIN_SCENARIOS, simulate_trial
@@ -59,6 +61,12 @@ class TestComboSpec:
     def test_single_test_encoding(self):
         spec = ComboSpec(LR, LR, k1=1.0, k2=0.0)
         assert spec.k2 == 0.0
+
+
+# the bounds hold exactly; the kernel misses them only by rounding (~1e-16)
+KERNEL_SLACK = 1e-12
+BOUND = st.floats(-10.0, 10.0)
+RHO = st.floats(-1.0, 1.0)
 
 
 class TestBvnUpper:
@@ -105,6 +113,19 @@ class TestBvnUpper:
         with pytest.raises(ValueError):
             bvn_upper(0.0, 0.0, rho)
 
+    @given(a=BOUND, b=BOUND, rho=RHO)
+    def test_within_frechet_bounds(self, a, b, rho):
+        """max(0, Q(a) + Q(b) - 1) <= P(X > a, Y > b) <= min(Q(a), Q(b))."""
+        p = bvn_upper(a, b, rho)
+        qa, qb = ndtr(-a), ndtr(-b)
+        assert max(0.0, qa + qb - 1.0) - KERNEL_SLACK <= p <= min(qa, qb) + KERNEL_SLACK
+
+    @given(a=BOUND, b=BOUND, rho1=RHO, rho2=RHO)
+    def test_nondecreasing_in_rho(self, a, b, rho1, rho2):
+        """Slepian's inequality: the joint upper tail grows with the correlation."""
+        lo, hi = sorted((rho1, rho2))
+        assert bvn_upper(a, b, lo) <= bvn_upper(a, b, hi) + KERNEL_SLACK
+
     def test_union_tail_complements(self):
         """P(Z1>t or Z2>t) + P(both <= t) = 1 (via the oracle for the joint CDF)."""
         t, rho = 1.3, 0.6
@@ -114,8 +135,7 @@ class TestBvnUpper:
 
 class TestNullCorrelation:
     def test_self_correlation_is_one(self):
-        records = simulate_trial(BUILTIN_SCENARIOS["high_equal"], seed=4)
-        table = build_risk_table(records)
+        table = build_risk_table(*simulate_trial(BUILTIN_SCENARIOS["high_equal"], seed=4))
         assert null_correlation(MW, MW, table) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_triple_sum_oracle(self):
@@ -127,9 +147,7 @@ class TestNullCorrelation:
         ]
         for _ in range(50):
             time, event, arm = random_dataset(rng)
-            table = build_risk_table(
-                [SurvivalRecord(t, e, a) for t, e, a in zip(time, event, arm)]
-            )
+            table = build_risk_table(time, event, arm)
             for w1, w2, f1, f2 in pairs:
                 try:
                     got = null_correlation(w1, w2, table)
@@ -139,8 +157,7 @@ class TestNullCorrelation:
                 assert_allclose(got, want, atol=1e-12)
 
     def test_nonnegative_for_supported_families(self):
-        records = simulate_trial(BUILTIN_SCENARIOS["high_delayed"], seed=12)
-        table = build_risk_table(records)
+        table = build_risk_table(*simulate_trial(BUILTIN_SCENARIOS["high_delayed"], seed=12))
         for w2 in (MW, FH):
             rho = null_correlation(LR, w2, table)
             assert 0.0 <= rho <= 1.0
@@ -268,8 +285,7 @@ class TestComboPvalue:
 
 class TestRunComboTest:
     def test_fields_cohere_on_simulated_data(self):
-        records = simulate_trial(BUILTIN_SCENARIOS["high_delayed"], seed=3)
-        table = build_risk_table(records)
+        table = build_risk_table(*simulate_trial(BUILTIN_SCENARIOS["high_delayed"], seed=3))
         spec = ComboSpec(LR, MW, 0.5, 0.5, alpha=0.025)
         res = run_combo_test(spec, table)
         assert 0.0 <= res.correlation <= 1.0
@@ -282,8 +298,7 @@ class TestRunComboTest:
     def test_single_test_matches_wlrt(self):
         from rmwtest.wlrt import one_sided_p, weighted_logrank
 
-        records = simulate_trial(BUILTIN_SCENARIOS["high_ph"], seed=8)
-        table = build_risk_table(records)
+        table = build_risk_table(*simulate_trial(BUILTIN_SCENARIOS["high_ph"], seed=8))
         res = run_combo_test(ComboSpec(MW, MW, k1=1.0, k2=0.0), table)
         ref = weighted_logrank(MW, table)
         assert_allclose(res.z1, ref.z, rtol=1e-14)
@@ -293,8 +308,8 @@ class TestRunComboTest:
         """Anti-correlated weight vectors trip the clamp (impossible with the
         built-in nonnegative families, so inject a signed weight vector), on
         the analyze path and on the harness path alike."""
-        records = simulate_trial(BUILTIN_SCENARIOS["high_equal"], seed=6)
-        table = build_risk_table(records)
+        columns = simulate_trial(BUILTIN_SCENARIOS["high_equal"], seed=6)
+        table = build_risk_table(*columns)
         real = combo_module.weights_from_km_left
 
         def signed(spec, km_left):
@@ -307,7 +322,6 @@ class TestRunComboTest:
         monkeypatch.setattr(
             harness_module, "combo_reject", lambda spec, z1, z2, rho: seen.append(rho) or False
         )
-        columns = [np.array(c) for c in zip(*((r.time, r.event, r.arm) for r in records))]
         plan = harness_module._RunPlan([MethodSpec("rMW", ComboSpec(LR, MW, 0.5, 0.5))])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -1,4 +1,4 @@
-"""Tests for subject records, risk-table construction, and CSV I/O."""
+"""Tests for subject columns, risk-table construction, and CSV I/O."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from rmwtest.dataset import (
     RiskTableRow,
-    SurvivalRecord,
     build_risk_table,
     read_survival_csv,
     risk_arrays,
@@ -46,30 +45,40 @@ def columns(records):
     return np.array(time), np.array(event), np.array(arm)
 
 
-class TestSurvivalRecord:
+def assert_same_columns(got, want):
+    """Equal values and the reader's dtypes: float64 time, int64 event and arm."""
+    for col, ref, dtype in zip(got, want, (np.float64, np.int64, np.int64), strict=True):
+        assert col.dtype == dtype
+        assert np.array_equal(col, ref)
+
+
+class TestSubjectColumns:
+    """risk_arrays checks every subject value before building a table."""
+
     def test_valid(self):
-        r = SurvivalRecord(time=3.5, event=1, arm=0)
-        assert r.time == 3.5
+        risk = risk_arrays([3.5, 1.0], [1, 0], [0, 1])
+        assert risk.tau.tolist() == [3.5]
 
     def test_zero_time_allowed(self):
         # events exactly at entry are legal (and occur with tiny probability
         # in the simulator)
-        SurvivalRecord(time=0.0, event=1, arm=1)
+        risk = risk_arrays([0.0, 1.0], [1, 0], [1, 0])
+        assert risk.tau.tolist() == [0.0]
 
     @pytest.mark.parametrize("time", [-1.0, float("nan"), float("inf")])
     def test_bad_time(self, time):
-        with pytest.raises(DataError):
-            SurvivalRecord(time=time, event=0, arm=0)
+        with pytest.raises(DataError, match="time must be finite and >= 0"):
+            risk_arrays([1.0, time], [1, 0], [0, 1])
 
     @pytest.mark.parametrize("event", [-1, 2, 0.5])
     def test_bad_event(self, event):
-        with pytest.raises(DataError):
-            SurvivalRecord(time=1.0, event=event, arm=0)
+        with pytest.raises(DataError, match="event must be 0 or 1"):
+            risk_arrays([1.0, 2.0], [1, event], [0, 1])
 
     @pytest.mark.parametrize("arm", [-1, 2, 0.5])
     def test_bad_arm(self, arm):
-        with pytest.raises(DataError):
-            SurvivalRecord(time=1.0, event=0, arm=arm)
+        with pytest.raises(DataError, match="arm must be 0 or 1"):
+            risk_arrays([1.0, 2.0], [1, 0], [0, arm])
 
 
 class TestRiskTable:
@@ -80,9 +89,7 @@ class TestRiskTable:
         tau=2: the arm-1 subject censored at 1 has left; n=5, n1=2,
                three events of which one in arm 1. KM just before 2 is 6/7.
         """
-        table = build_risk_table(
-            [SurvivalRecord(t, e, a) for t, e, a in zip(EX_TIME, EX_EVENT, EX_ARM)]
-        )
+        table = build_risk_table(EX_TIME, EX_EVENT, EX_ARM)
         assert [row.tau for row in table] == [1.0, 2.0]
         first, second = table
         assert (first.n_total, first.n_arm1, first.d_total, first.d_arm1) == (7, 3, 1, 0)
@@ -92,24 +99,12 @@ class TestRiskTable:
 
     def test_censored_at_event_time_still_at_risk(self):
         """A subject censored exactly at tau counts in the risk set at tau."""
-        table = build_risk_table(
-            [
-                SurvivalRecord(2.0, 1, 0),
-                SurvivalRecord(2.0, 0, 1),
-                SurvivalRecord(3.0, 0, 1),
-            ]
-        )
+        table = build_risk_table([2.0, 2.0, 3.0], [1, 0, 0], [0, 1, 1])
         assert table[0].n_total == 3
         assert table[0].n_arm1 == 2
 
     def test_censoring_only_times_contribute_no_row(self):
-        table = build_risk_table(
-            [
-                SurvivalRecord(1.0, 1, 0),
-                SurvivalRecord(2.0, 0, 1),
-                SurvivalRecord(3.0, 1, 1),
-            ]
-        )
+        table = build_risk_table([1.0, 2.0, 3.0], [1, 0, 1], [0, 1, 1])
         assert [row.tau for row in table] == [1.0, 3.0]
 
     def test_matches_oracle_on_random_data(self):
@@ -143,8 +138,7 @@ class TestRiskTable:
     def test_matches_matrix_oracle_on_full_size_trials(self):
         """Exact agreement on one replicate of every built-in scenario (N up to 6,000)."""
         for scenario in BUILTIN_SCENARIOS.values():
-            records = simulate_trial(scenario, seed=11)
-            time, event, arm = columns([(r.time, r.event, r.arm) for r in records])
+            time, event, arm = simulate_trial(scenario, seed=11)
             got = risk_arrays(time, event, arm)
             expected = risk_table_matrix_oracle(time, event, arm)
             for name, col, ref in zip(got._fields, got, expected):
@@ -169,24 +163,22 @@ class TestRiskTable:
             assert col.tobytes() == other.tobytes()
 
     def test_rows_round_trip(self):
-        table = build_risk_table(
-            [SurvivalRecord(t, e, a) for t, e, a in zip(EX_TIME, EX_EVENT, EX_ARM)]
-        )
+        table = build_risk_table(EX_TIME, EX_EVENT, EX_ARM)
         arrays = rows_to_arrays(table)
         assert list(arrays.tau) == [row.tau for row in table]
         assert list(arrays.d_arm1) == [row.d_arm1 for row in table]
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError, match="no data"):
-            build_risk_table([])
+            build_risk_table([], [], [])
 
     def test_no_events_rejected(self):
         with pytest.raises(DataError, match="no events"):
-            build_risk_table([SurvivalRecord(1.0, 0, 0), SurvivalRecord(2.0, 0, 1)])
+            build_risk_table([1.0, 2.0], [0, 0], [0, 1])
 
     def test_single_arm_rejected(self):
         with pytest.raises(DataError, match="one arm"):
-            build_risk_table([SurvivalRecord(1.0, 1, 0), SurvivalRecord(2.0, 1, 0)])
+            build_risk_table([1.0, 2.0], [1, 1], [0, 0])
 
     def test_event_must_be_binary(self):
         with pytest.raises(DataError, match="event must be 0 or 1"):
@@ -205,32 +197,27 @@ class TestRiskTable:
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
-        records = [SurvivalRecord(t, e, a) for t, e, a in zip(EX_TIME, EX_EVENT, EX_ARM)]
         path = tmp_path / "trial.csv"
-        write_survival_csv(path, records)
-        assert read_survival_csv(path) == records
+        write_survival_csv(path, EX_TIME, EX_EVENT, EX_ARM)
+        assert_same_columns(read_survival_csv(path), (EX_TIME, EX_EVENT, EX_ARM))
 
     def test_float_times_round_trip_exactly(self, tmp_path):
-        records = [
-            SurvivalRecord(0.1 + 0.2, 1, 0),
-            SurvivalRecord(1.0 / 3.0, 0, 1),
-            SurvivalRecord(12.000000000000002, 1, 1),
-        ]
+        time = [0.1 + 0.2, 1.0 / 3.0, 12.000000000000002]
         path = tmp_path / "trial.csv"
-        write_survival_csv(path, records)
-        back = read_survival_csv(path)
-        assert [r.time for r in back] == [r.time for r in records]
+        write_survival_csv(path, time, [1, 0, 1], [0, 1, 1])
+        back, _, _ = read_survival_csv(path)
+        assert back.tolist() == time
 
     def test_byte_order_mark_and_crlf_accepted(self, tmp_path):
         # spreadsheets save CSV with a UTF-8 byte order mark and CRLF line ends
-        expected = [SurvivalRecord(1.5, 1, 0), SurvivalRecord(2.0, 0, 1)]
+        expected = ([1.5, 2.0], [1, 0], [0, 1])
         for name, raw in [
             ("bom.csv", b"\xef\xbb\xbftime,event,arm\n1.5,1,0\n2.0,0,1\n"),
             ("crlf.csv", b"time,event,arm\r\n1.5,1,0\r\n2.0,0,1\r\n"),
         ]:
             path = tmp_path / name
             path.write_bytes(raw)
-            assert read_survival_csv(path) == expected
+            assert_same_columns(read_survival_csv(path), expected)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -241,16 +228,23 @@ class TestCsv:
         with pytest.raises(DataError, match=r":1"):
             read_survival_csv(path)
 
-    def test_bad_time_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-1", "oops"])
+    def test_bad_time_reports_line(self, tmp_path, raw):
         path = tmp_path / "bad.csv"
-        path.write_text("time,event,arm\n1.0,1,0\noops,1,1\n")
-        with pytest.raises(DataError, match=r":3"):
+        path.write_text(f"time,event,arm\n1.0,1,0\n{raw},1,1\n")
+        with pytest.raises(DataError, match=r":3: time"):
             read_survival_csv(path)
 
     def test_event_must_be_binary(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,event,arm\n1.0,yes,0\n")
         with pytest.raises(DataError, match=r":2"):
+            read_survival_csv(path)
+
+    def test_arm_must_be_binary(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,event,arm\n1.0,1,0\n2.0,0,2\n")
+        with pytest.raises(DataError, match=r":3: arm must be 0 or 1"):
             read_survival_csv(path)
 
     def test_wrong_field_count(self, tmp_path):

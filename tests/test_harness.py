@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rmwtest.combo import ComboSpec, run_combo_test
-from rmwtest.dataset import SurvivalRecord, build_risk_table
+from rmwtest.dataset import build_risk_table
 from rmwtest.errors import DataError
 from rmwtest.harness import (
     AssuranceSpec,
@@ -28,8 +28,8 @@ from rmwtest.simulator import (
     BUILTIN_SCENARIOS,
     PiecewiseHazard,
     Scenario,
-    _trial_arrays,
     scenario_hash,
+    simulate_trial,
 )
 from rmwtest.weights import WeightSpec
 
@@ -109,10 +109,8 @@ class TestEstimatePower:
         methods = paper_methods()
         plan = _RunPlan(methods)
         for rep in range(40):
-            time, event, arm = _trial_arrays(BUILTIN_SCENARIOS[scenario], 4, rep)
-            table = build_risk_table(
-                [SurvivalRecord(t, e, a) for t, e, a in zip(time, event, arm)]
-            )
+            time, event, arm = simulate_trial(BUILTIN_SCENARIOS[scenario], 4, rep)
+            table = build_risk_table(time, event, arm)
             want = [run_combo_test(m.combo, table).reject for m in methods]
             assert _replicate_row(plan, time, event, arm).tolist() == want
 
@@ -229,6 +227,18 @@ class TestPowerIo:
             "s,LR,0.6,0.0,1000,0\n"
         )
         with pytest.raises(DataError, match=":3: duplicate"):
+            read_power_csv(path)
+
+    @pytest.mark.parametrize("reps,seed", [(200, 0), (1000, 7), (200, 7)])
+    def test_read_rejects_conflicting_replicates_or_seed(self, tmp_path, reps, seed):
+        path = tmp_path / "bad.csv"
+        header = "scenario,method,rejection_rate,mc_standard_error,replicates,seed\n"
+        # another scenario may have its own replicates and seed
+        path.write_text(header + "s,LR,0.5,0.0,1000,0\nt,LR,0.5,0.0,200,7\n")
+        other = read_power_csv(path)["t"]
+        assert (other.replicates, other.seed) == (200, 7)
+        path.write_text(header + f"s,LR,0.5,0.0,1000,0\ns,MW,0.6,0.0,{reps},{seed}\n")
+        with pytest.raises(DataError, match=":3: replicates"):
             read_power_csv(path)
 
     def test_read_rejects_short_row(self, tmp_path):

@@ -121,37 +121,41 @@ class TestScenario:
 class TestSimulateTrial:
     def test_shape_and_bounds(self):
         scenario = BUILTIN_SCENARIOS["high_delayed"]
-        records = simulate_trial(scenario, seed=1)
-        assert len(records) == scenario.n_total
-        assert sum(r.arm for r in records) == scenario.n_total // 2
-        for r in records:
-            assert 0.0 <= r.time <= scenario.study_length
-            assert r.event in (0, 1)
+        time, event, arm = simulate_trial(scenario, seed=1)
+        assert (time.dtype, event.dtype, arm.dtype) == (np.float64, np.int64, np.int64)
+        assert time.shape == event.shape == arm.shape == (scenario.n_total,)
+        assert arm.sum() == scenario.n_total // 2
+        assert np.all((0.0 <= time) & (time <= scenario.study_length))
+        assert np.all((event == 0) | (event == 1))
 
     def test_deterministic_in_seed_and_replicate(self):
         scenario = BUILTIN_SCENARIOS["high_ph"]
+
+        def same(a, b):
+            return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
         a = simulate_trial(scenario, seed=7, replicate=3)
         b = simulate_trial(scenario, seed=7, replicate=3)
-        assert a == b
-        assert a != simulate_trial(scenario, seed=7, replicate=4)
-        assert a != simulate_trial(scenario, seed=8, replicate=3)
+        assert same(a, b)
+        assert not same(a, simulate_trial(scenario, seed=7, replicate=4))
+        assert not same(a, simulate_trial(scenario, seed=8, replicate=3))
 
     def test_near_zero_hazard_censors_everyone(self):
         h = PiecewiseHazard(knots=(), rates=(1e-12,))
         scenario = Scenario("idle", 50, 24.0, 6.0, h, h)
-        records = simulate_trial(scenario, seed=0)
-        assert all(r.event == 0 for r in records)
+        time, event, _ = simulate_trial(scenario, seed=0)
+        assert np.all(event == 0)
         # censoring time is study length minus entry, so it stays in a tight band
-        assert all(18.0 <= r.time <= 24.0 for r in records)
+        assert np.all((18.0 <= time) & (time <= 24.0))
 
     def test_event_fraction_matches_integral(self):
         """Administrative censoring: P(event) = E_entry[F(length - entry)]."""
         h = TWO_PIECE
         scenario = Scenario("big", 20_000, 24.0, 6.0, h, h)
-        records = simulate_trial(scenario, seed=42)
+        _, event, _ = simulate_trial(scenario, seed=42)
         want = expected_event_fraction(h.survival, 24.0, 6.0)
-        got = sum(r.event for r in records) / len(records)
-        se = math.sqrt(want * (1 - want) / len(records))
+        got = event.sum() / len(event)
+        se = math.sqrt(want * (1 - want) / len(event))
         assert abs(got - want) < 3 * se
 
 

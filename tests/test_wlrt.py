@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rmwtest.dataset import RiskArrays, SurvivalRecord, build_risk_table, risk_arrays
+from rmwtest.dataset import RiskArrays, build_risk_table, risk_arrays
 from rmwtest.errors import NumericalError
 from rmwtest.weights import WeightSpec, weights_from_km_left
 from rmwtest.wlrt import (
@@ -24,9 +26,10 @@ from oracles import (
     random_dataset,
     weighted_logrank_oracle,
 )
+from test_dataset import columns, trials
 
 # Two-subject dataset: event at t=1 in arm 0, event at t=2 in arm 1.
-TWO_SUBJECTS = [SurvivalRecord(1.0, 1, 0), SurvivalRecord(2.0, 1, 1)]
+TWO_SUBJECTS = ([1.0, 2.0], [1, 1], [0, 1])
 
 
 def _moments(n, n1, d):
@@ -72,7 +75,7 @@ class TestHypergeometricMoments:
 class TestWeightedLogrank:
     def test_two_subject_hand_example(self):
         """g = (0 - 0.5)*1 + (1 - 1)*1 = -0.5; var = 0.25; z = 1."""
-        table = build_risk_table(TWO_SUBJECTS)
+        table = build_risk_table(*TWO_SUBJECTS)
         res = weighted_logrank(WeightSpec.constant(), table)
         assert res.g == -0.5
         assert res.variance == 0.25
@@ -81,8 +84,8 @@ class TestWeightedLogrank:
     def test_symmetric_dataset_gives_zero(self):
         """Duplicating every subject onto both arms forces g = z = 0."""
         base = [(1.0, 1), (2.0, 0), (3.0, 1), (4.0, 1), (5.0, 0)]
-        records = [SurvivalRecord(t, e, a) for t, e in base for a in (0, 1)]
-        res = weighted_logrank(WeightSpec.modest(0.5), build_risk_table(records))
+        time, event, arm = zip(*((t, e, a) for t, e in base for a in (0, 1)))
+        res = weighted_logrank(WeightSpec.modest(0.5), build_risk_table(time, event, arm))
         assert res.g == 0.0
         assert res.z == 0.0
 
@@ -110,9 +113,7 @@ class TestWeightedLogrank:
         for _ in range(100):
             time, event, arm = random_dataset(rng)
             try:
-                res = weighted_logrank(spec, build_risk_table(
-                    [SurvivalRecord(t, e, a) for t, e, a in zip(time, event, arm)]
-                ))
+                res = weighted_logrank(spec, build_risk_table(time, event, arm))
             except NumericalError:
                 continue  # all-weight-zero or all-variance-zero draws
             g, variance, z = weighted_logrank_oracle(time, event, arm, oracle_weight)
@@ -121,7 +122,7 @@ class TestWeightedLogrank:
             assert_allclose(res.z, z, atol=1e-12)
 
     def test_result_carries_per_time_arrays(self):
-        table = build_risk_table(TWO_SUBJECTS)
+        table = build_risk_table(*TWO_SUBJECTS)
         res = weighted_logrank(WeightSpec.constant(), table)
         assert res.per_time_weights == [1.0, 1.0]
         assert len(res.per_time_var) == 2
@@ -130,9 +131,54 @@ class TestWeightedLogrank:
 
     def test_degenerate_variance_raises(self):
         """Every subject dying at the same instant leaves no variance."""
-        records = [SurvivalRecord(1.0, 1, 0), SurvivalRecord(1.0, 1, 1)]
         with pytest.raises(NumericalError, match="degenerate variance"):
-            weighted_logrank(WeightSpec.constant(), build_risk_table(records))
+            weighted_logrank(WeightSpec.constant(), build_risk_table([1.0, 1.0], [1, 1], [0, 1]))
+
+
+def _result(spec, time, event, arm):
+    """weighted_logrank on subject columns, or None when its variance is zero."""
+    try:
+        return weighted_logrank(spec, build_risk_table(time, event, arm))
+    except NumericalError:
+        return None
+
+
+def _z_bits(spec, time, event, arm):
+    res = _result(spec, time, event, arm)
+    return None if res is None else res.z.hex()
+
+
+SPECS = [WeightSpec.constant(), WeightSpec.modest(0.5), WeightSpec.fleming_harrington(0, 0.5)]
+
+
+class TestInvariance:
+    """Properties of z on the random tied trials test_dataset draws."""
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["lr", "mw", "fh"])
+    @given(records=trials(), data=st.data())
+    def test_record_order_leaves_z_bit_identical(self, spec, records, data):
+        shuffled = data.draw(st.permutations(records))
+        assert _z_bits(spec, *columns(shuffled)) == _z_bits(spec, *columns(records))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["lr", "mw", "fh"])
+    @given(records=trials(), power=st.integers(-10, 10))
+    def test_power_of_two_time_scale_leaves_z_bit_identical(self, spec, records, power):
+        time, event, arm = columns(records)
+        scaled = _z_bits(spec, time * 2.0**power, event, arm)
+        assert scaled == _z_bits(spec, time, event, arm)
+
+    @given(records=trials())
+    def test_arm_swap_negates_lr_z(self, records):
+        """Swapping labels keeps the variance bit for bit and negates z."""
+        time, event, arm = columns(records)
+        base = _result(WeightSpec.constant(), time, event, arm)
+        swapped = _result(WeightSpec.constant(), time, event, 1 - arm)
+        if base is None:
+            assert swapped is None
+            return
+        assert swapped.variance.hex() == base.variance.hex()
+        # abs covers a z that cancels to about zero
+        assert swapped.z == pytest.approx(-base.z, rel=1e-12, abs=1e-12)
 
 
 class TestCalibration:
