@@ -44,7 +44,7 @@ from .simulator import (
     simulate_trial,
     write_scenario,
 )
-from .weights import WeightSpec, parse_weight_spec
+from .weights import WeightSpec
 from .wlrt import WlrtResult, one_sided_p, weighted_logrank
 
 __version__ = "0.1.0"
@@ -76,7 +76,6 @@ __all__ = [
     "null_correlation",
     "one_sided_p",
     "paper_methods",
-    "parse_weight_spec",
     "read_power_csv",
     "read_scenario",
     "read_survival_csv",

@@ -47,115 +47,193 @@ from .simulator import (
     scenario_hash,
     simulate_trial,
 )
-from .weights import parse_weight_spec
+from .weights import WeightSpec
 
 WORKERS_ENV = "RMWTEST_WORKERS"
 RMW_TEST = "max(lr,mw(0.5))"  # what `analyze --test rmw` runs
 
 
 # ---------------------------------------------------------------------------
-# method grammar
+# spec grammar: weights, methods and priors
 
 
-def _split_top_level(text: str, start: int, stop: int, seps: str) -> list[tuple[int, int]]:
-    """(start, stop) spans of text[start:stop] split at depth-0 separators."""
-    spans = []
-    depth = 0
-    piece_start = start
-    for i in range(start, stop):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise GrammarError(f"offset {i}: unbalanced ')'")
-        elif ch in seps and depth == 0:
-            spans.append((piece_start, i))
-            piece_start = i + 1
-    spans.append((piece_start, stop))
-    return spans
+_PUNCTUATION = "(),;=:"
+_TOKEN_RE = re.compile(r"[(),;=:]|[^\s(),;=:]+")
 
 
-_PARAM_RE = re.compile(r"^\s*(?P<key>[A-Za-z_][A-Za-z_0-9]*)\s*=\s*(?P<value>\S+)\s*$")
+class _Tokens:
+    """A spec string as punctuation ``( ) , ; = :`` and words, each with its
+    offset; the token ``""`` at offset ``len(text)`` ends the list."""
+
+    def __init__(self, text: str):
+        self.items = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+        self.items.append(("", len(text)))
+        self.i = 0
+
+    def peek(self) -> tuple[str, int]:
+        return self.items[self.i]
+
+    def accept(self, punct: str) -> bool:
+        found = self.items[self.i][0] == punct
+        self.i += found
+        return found
+
+    def expect(self, punct: str, what: str = "") -> int:
+        at = self.items[self.i][1]
+        if not self.accept(punct):
+            raise self.error(what or repr(punct))
+        return at
+
+    def word(self, what: str) -> tuple[str, int]:
+        token = self.items[self.i]
+        if token[0] in _PUNCTUATION:  # the end token "" is in every string
+            raise self.error(what)
+        self.i += 1
+        return token
+
+    def error(self, what: str) -> GrammarError:
+        token, at = self.items[self.i]
+        got = repr(token) if token else "end of input"
+        return GrammarError(f"offset {at}: expected {what}, got {got}")
 
 
-def _parse_combo_grammar(text: str) -> MethodSpec:
-    stripped = text.rstrip()
-    open_at = text.find("(")
-    if open_at < 0 or not stripped.endswith(")"):
-        raise GrammarError(f"offset {len(stripped)}: expected 'max(<w1>,<w2>;k1=...,alpha=...)'")
-    close_at = len(stripped) - 1
-    halves = _split_top_level(text, open_at + 1, close_at, ";")
-    if len(halves) > 2:
-        raise GrammarError(f"offset {halves[2][0] - 1}: at most one ';' parameter block allowed")
-    comp_spans = _split_top_level(text, halves[0][0], halves[0][1], ",")
-    if len(comp_spans) != 2:
-        raise GrammarError(
-            f"offset {comp_spans[0][0]}: max takes exactly 2 component tests, got {len(comp_spans)}"
-        )
-    w1 = parse_weight_spec(text[comp_spans[0][0] : comp_spans[0][1]], offset=comp_spans[0][0])
-    w2 = parse_weight_spec(text[comp_spans[1][0] : comp_spans[1][1]], offset=comp_spans[1][0])
-
-    k1, alpha = 0.5, 0.025
-    if len(halves) == 2:
-        seen = set()
-        for a, b in _split_top_level(text, halves[1][0], halves[1][1], ","):
-            piece = text[a:b]
-            m = _PARAM_RE.match(piece)
-            if m is None:
-                raise GrammarError(f"offset {a}: expected 'k1=<real>' or 'alpha=<real>', got {piece.strip()!r}")
-            key = m.group("key")
-            if key not in ("k1", "alpha"):
-                raise GrammarError(f"offset {a + m.start('key')}: unknown parameter {key!r}")
-            if key in seen:
-                raise GrammarError(f"offset {a + m.start('key')}: duplicate parameter {key!r}")
-            seen.add(key)
-            try:
-                value = float(m.group("value"))
-            except ValueError:
-                raise GrammarError(
-                    f"offset {a + m.start('value')}: not a number: {m.group('value')!r}"
-                ) from None
-            if key == "k1":
-                k1 = value
-            else:
-                alpha = value
+def _number(word: str, at: int) -> float:
     try:
-        combo = ComboSpec(w1, w2, k1=k1, k2=1.0 - k1, alpha=alpha)
+        if "_" in word:  # float() reads digit-group underscores; spreadsheets do not
+            raise ValueError(word)
+        return float(word)
+    except ValueError:
+        raise GrammarError(f"offset {at}: not a number: {word!r}") from None
+
+
+_WEIGHT_FAMILIES = {  # name -> (constructor, parameter names by position)
+    "constant": (WeightSpec.constant, ()),
+    "lr": (WeightSpec.constant, ()),
+    "mw": (WeightSpec.modest, ("s*",)),
+    "fh": (WeightSpec.fleming_harrington, ("rho", "gamma")),
+}
+
+
+def _weight(tokens: _Tokens) -> WeightSpec:
+    name, at = tokens.word("a weight family")
+    family = name.lower()
+    if family not in _WEIGHT_FAMILIES:
+        raise GrammarError(
+            f"offset {at}: unknown weight family {family!r} "
+            f"(expected one of {sorted(_WEIGHT_FAMILIES)})"
+        )
+    make, names = _WEIGHT_FAMILIES[family]
+    args_at = tokens.peek()[1]
+    values: list[float] = []
+    if tokens.accept("("):
+        args_at += 1
+        while not tokens.accept(")"):
+            if values:
+                tokens.expect(",", "',' or ')'")
+            word, at = tokens.word("a number")
+            if tokens.accept("="):
+                if len(values) < len(names) and word != names[len(values)]:
+                    raise GrammarError(
+                        f"offset {at}: parameter {len(values) + 1} of {family} is "
+                        f"{names[len(values)]!r}, got {word!r}"
+                    )
+                word, at = tokens.word("a number")
+            values.append(_number(word, at))
+    if len(values) != len(names):
+        raise GrammarError(
+            f"offset {args_at}: {family} takes {len(names)} parameter(s), got {len(values)}"
+        )
+    try:
+        return make(*values)
     except ValueError as exc:
-        raise GrammarError(f"offset {open_at + 1}: {exc}") from None
-    return MethodSpec(label=stripped.strip(), combo=combo)
+        raise GrammarError(f"offset {args_at}: {exc}") from None
 
 
-def parse_method_grammar(text: str):
-    """One method string -> MethodSpec; the keyword ``paper6`` -> list of six.
+def parse_weight_spec(text: str) -> WeightSpec:
+    """Parse a weight string: ``constant``, ``lr``, ``mw(0.5)``, ``fh(0,0.5)``.
+
+    A parameter may be named (``mw(s*=0.5)``, ``fh(rho=0,gamma=0.5)``) with
+    the name of the parameter at its position. Errors report the offset of
+    the problem in ``text``.
+    """
+    tokens = _Tokens(text)
+    spec = _weight(tokens)
+    tokens.expect("", "end of input")
+    return spec
+
+
+def parse_method_grammar(text: str) -> list[MethodSpec]:
+    """One method string -> a one-item list; the keyword ``paper6`` -> six.
 
     Accepts single-test shorthands (``lr``, ``mw(0.5)``, ``fh(0,0.5)``) and
     the combination form ``max(<w1>,<w2>;k1=<real>,alpha=<real>)`` where the
-    parameter block is optional (defaults k1=0.5, alpha=0.025). Errors carry
-    the byte offset of the problem.
+    parameter block is optional (defaults k1=0.5, alpha=0.025). The label is
+    the stripped input text. Errors carry the byte offset of the problem.
     """
-    bare = text.strip()
-    if bare.lower() == "paper6":
-        return list(paper_methods())
-    head = re.match(r"\s*([A-Za-z_][A-Za-z_0-9]*)", text)
-    if head is not None and head.group(1).lower() == "max":
-        return _parse_combo_grammar(text)
-    w = parse_weight_spec(text)
-    return MethodSpec(label=bare, combo=ComboSpec(w, w, k1=1.0, k2=0.0))
+    tokens = _Tokens(text)
+    head = tokens.peek()[0].lower()
+    if head == "paper6":
+        tokens.word(head)
+        methods = list(paper_methods())
+    elif head == "max":
+        tokens.word(head)
+        open_at = tokens.expect("(")
+        weights = [_weight(tokens)]
+        while tokens.accept(","):
+            weights.append(_weight(tokens))
+        if len(weights) != 2:
+            raise GrammarError(
+                f"offset {open_at + 1}: max takes exactly 2 component tests, got {len(weights)}"
+            )
+        params: dict[str, float] = {}
+        while tokens.accept("," if params else ";"):
+            key, at = tokens.word("'k1=<real>' or 'alpha=<real>'")
+            if key not in ("k1", "alpha"):
+                raise GrammarError(f"offset {at}: unknown parameter {key!r}")
+            if key in params:
+                raise GrammarError(f"offset {at}: duplicate parameter {key!r}")
+            tokens.expect("=")
+            params[key] = _number(*tokens.word("a number"))
+        tokens.expect(")")
+        k1 = params.get("k1", 0.5)
+        try:
+            combo = ComboSpec(*weights, k1=k1, k2=1.0 - k1, alpha=params.get("alpha", 0.025))
+        except ValueError as exc:
+            raise GrammarError(f"offset {open_at + 1}: {exc}") from None
+        methods = [MethodSpec(label=text.strip(), combo=combo)]
+    else:
+        w = _weight(tokens)
+        methods = [MethodSpec(label=text.strip(), combo=ComboSpec(w, w, k1=1.0, k2=0.0))]
+    tokens.expect("", "end of input")
+    return methods
 
 
 def _expand_methods(texts: list[str]) -> list[MethodSpec]:
-    out: list[MethodSpec] = []
-    for text in texts:
-        parsed = parse_method_grammar(text)
-        out.extend(parsed if isinstance(parsed, list) else [parsed])
+    out = [m for text in texts for m in parse_method_grammar(text)]
     labels = [m.label for m in out]
     if len(set(labels)) != len(labels):
         dup = next(l for l in labels if labels.count(l) > 1)
         raise GrammarError(f"duplicate method label {dup!r}")
     return out
+
+
+def _parse_prior(text: str) -> AssuranceSpec:
+    """``<scenario>:<weight>,...`` -> AssuranceSpec."""
+    tokens = _Tokens(text)
+    prior: dict[str, float] = {}
+    while not prior or tokens.accept(","):
+        name, at = tokens.word("'<scenario>:<weight>'")
+        if not name.isidentifier():
+            raise GrammarError(f"offset {at}: expected '<scenario>:<weight>', got {name!r}")
+        if name in prior:
+            raise GrammarError(f"offset {at}: duplicate scenario {name!r}")
+        tokens.expect(":")
+        prior[name] = _number(*tokens.word("a number"))
+    tokens.expect("", "end of input")
+    try:
+        return AssuranceSpec(prior)
+    except ValueError as exc:
+        raise GrammarError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +313,10 @@ def _result_payload(res: ComboResult) -> dict:
 
 def _cmd_analyze(ns: argparse.Namespace) -> int:
     test = RMW_TEST if ns.test.strip().lower() == "rmw" else ns.test
-    parsed = parse_method_grammar(test)
-    if isinstance(parsed, list):
+    methods = parse_method_grammar(test)
+    if len(methods) != 1:
         raise GrammarError("analyze needs a single test; 'paper6' is a method set")
-    spec = parsed.combo
+    spec = methods[0].combo
     if ns.alpha is not None:
         spec = replace(spec, alpha=ns.alpha)
     table = build_risk_table(*read_survival_csv(ns.data))
@@ -306,43 +384,10 @@ def _cmd_power(ns: argparse.Namespace) -> int:
     return 0
 
 
-_PRIOR_ITEM_RE = re.compile(r"^\s*(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*:\s*(?P<value>\S+)\s*$")
-
-
-def _parse_prior(text: str) -> AssuranceSpec:
-    prior: dict[str, float] = {}
-    for a, b in _split_top_level(text, 0, len(text), ","):
-        piece = text[a:b]
-        m = _PRIOR_ITEM_RE.match(piece)
-        if m is None:
-            raise GrammarError(
-                f"offset {a}: expected '<scenario>:<weight>', got {piece.strip()!r}"
-            )
-        name = m.group("name")
-        if name in prior:
-            raise GrammarError(f"offset {a + m.start('name')}: duplicate scenario {name!r}")
-        try:
-            prior[name] = float(m.group("value"))
-        except ValueError:
-            raise GrammarError(
-                f"offset {a + m.start('value')}: not a number: {m.group('value')!r}"
-            ) from None
-    try:
-        return AssuranceSpec(prior)
-    except ValueError as exc:
-        raise GrammarError(str(exc)) from None
-
-
 def _cmd_assurance(ns: argparse.Namespace) -> int:
     prior = _parse_prior(ns.prior)
     ocs = read_power_csv(ns.input)
-    if ns.method == "all":
-        first = next(iter(ocs.values()), None)
-        if first is None:
-            raise DataError(f"{ns.input}: no rows")
-        labels = list(first.rates)
-    else:
-        labels = [ns.method]
+    labels = list(next(iter(ocs.values())).rates) if ns.method == "all" else [ns.method]
     values = {label: assurance(ocs, prior, label) for label in labels}
     payload = {"prior": prior.prior, "assurance": values}
     _emit(ns, json.dumps(payload, indent=2) + "\n")

@@ -198,6 +198,8 @@ def read_survival_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
             raw_time, raw_event, raw_arm = (f.strip() for f in row)
             try:
+                if "_" in raw_time:  # float() reads digit-group underscores; spreadsheets do not
+                    raise ValueError(raw_time)
                 time = float(raw_time)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: time is not a number: {raw_time!r}") from None

@@ -280,8 +280,9 @@ def write_power_csv(path, ocs: Sequence[OperatingCharacteristics]) -> None:
 def read_power_csv(path) -> dict[str, OperatingCharacteristics]:
     """Read rejection rates back, keyed by scenario name.
 
-    Every row of a scenario must carry the same ``replicates`` and ``seed``;
-    a row that disagrees with the scenario's earlier rows is a ``DataError``.
+    The file must have a row, every row of a scenario the same positive
+    ``replicates`` and the same ``seed``, and every scenario the same method
+    labels; anything else is a ``DataError``.
     """
     import csv
 
@@ -305,6 +306,8 @@ def read_power_csv(path) -> dict[str, OperatingCharacteristics]:
                 raise DataError(f"{path}:{lineno}: malformed numeric field") from None
             if not 0.0 <= rate <= 1.0:
                 raise DataError(f"{path}:{lineno}: rejection_rate outside [0, 1]: {rate}")
+            if reps < 1:
+                raise DataError(f"{path}:{lineno}: replicates must be >= 1, got {reps}")
             entry = grouped.setdefault(
                 scenario, {"rates": {}, "replicates": reps, "seed": seed}
             )
@@ -317,6 +320,13 @@ def read_power_csv(path) -> dict[str, OperatingCharacteristics]:
             if label in entry["rates"]:
                 raise DataError(f"{path}:{lineno}: duplicate method {label!r} for {scenario!r}")
             entry["rates"][label] = rate
+    if not grouped:
+        raise DataError(f"{path}: no rows")
+    labels = {label for entry in grouped.values() for label in entry["rates"]}
+    for name, entry in grouped.items():
+        missing = sorted(labels - entry["rates"].keys())
+        if missing:
+            raise DataError(f"{path}: scenario {name!r} has no row for method {missing[0]!r}")
     return {
         name: OperatingCharacteristics(
             scenario=name,

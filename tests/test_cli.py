@@ -29,25 +29,25 @@ EXAMPLE_TRIAL = Path(__file__).resolve().parents[1] / "data" / "example_trial.cs
 
 class TestMethodGrammar:
     def test_single_test_shorthand(self):
-        m = parse_method_grammar("lr")
+        (m,) = parse_method_grammar("lr")
         assert m.label == "lr"
         assert m.combo.w1 == m.combo.w2 == WeightSpec.constant()
         assert (m.combo.k1, m.combo.k2, m.combo.alpha) == (1.0, 0.0, 0.025)
 
     def test_combo_defaults(self):
-        m = parse_method_grammar("max(lr, mw(0.5))")
+        (m,) = parse_method_grammar("max(lr, mw(0.5))")
         assert m.combo.w1 == WeightSpec.constant()
         assert m.combo.w2 == WeightSpec.modest(0.5)
         assert (m.combo.k1, m.combo.k2, m.combo.alpha) == (0.5, 0.5, 0.025)
 
     def test_combo_with_parameters(self):
-        m = parse_method_grammar("max(lr, mw(0.5); k1=0.6, alpha=0.05)")
+        (m,) = parse_method_grammar("max(lr, mw(0.5); k1=0.6, alpha=0.05)")
         assert m.combo.k1 == 0.6
         assert m.combo.k2 == pytest.approx(0.4)
         assert m.combo.alpha == 0.05
 
     def test_nested_commas_split_at_top_level_only(self):
-        m = parse_method_grammar("max(fh(0, 0.5), mw(0.5))")
+        (m,) = parse_method_grammar("max(fh(0, 0.5), mw(0.5))")
         assert m.combo.w1 == WeightSpec.fleming_harrington(0.0, 0.5)
 
     def test_paper6_expands(self):
@@ -58,7 +58,8 @@ class TestMethodGrammar:
 
     def test_label_preserves_input_text(self):
         text = "max(lr, mw(0.5); k1=0.6)"
-        assert parse_method_grammar(text).label == text
+        (m,) = parse_method_grammar(text)
+        assert m.label == text
 
     def test_arity_error_with_offset(self):
         with pytest.raises(GrammarError, match="offset 4: max takes exactly 2"):
@@ -84,6 +85,12 @@ class TestMethodGrammar:
     def test_missing_close_paren(self):
         with pytest.raises(GrammarError, match="offset"):
             parse_method_grammar("max(lr, mw(0.5)")
+
+    def test_named_weight_parameters_inside_combo(self):
+        (m,) = parse_method_grammar("max(lr,fh(rho=0,gamma=0.5))")
+        assert m.combo.w2 == WeightSpec.fleming_harrington(0.0, 0.5)
+        with pytest.raises(GrammarError, match="offset 10: parameter 1 of fh is 'rho'"):
+            parse_method_grammar("max(lr,fh(gamma=0.5,rho=0))")
 
 
 @pytest.fixture
@@ -168,6 +175,12 @@ class TestAnalyze:
 
     def test_paper6_is_not_a_single_test(self, trial_csv, capsys):
         assert main(["analyze", "--data", str(trial_csv), "--test", "paper6"]) == 2
+
+    def test_misplaced_named_parameter_exits_2(self, capsys):
+        # fh(gamma=0.5,rho=0) would otherwise run the early-weighted FH(0.5, 0)
+        test = "fh(gamma=0.5,rho=0)"
+        assert main(["analyze", "--data", str(EXAMPLE_TRIAL), "--test", test]) == 2
+        assert "offset 3: parameter 1 of fh is 'rho', got 'gamma'" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -279,6 +292,16 @@ class TestPower:
         ]) == 2
         assert "duplicate method label" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["fh(nan,0)", "fh(0,inf)", "max(lr,fh(inf,0))"])
+    def test_non_finite_weight_parameter_exits_2(self, tmp_path, capsys, method):
+        out = tmp_path / "p.csv"
+        assert main([
+            "power", "--scenario", "high_equal", "--methods", method, "--reps", "100",
+            "--out", str(out),
+        ]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_workers_value_exits_2(self, tmp_path, capsys):
         assert main([
             "power", "--scenario", "high_equal", "--workers", "zero",
@@ -340,6 +363,34 @@ class TestAssurance:
         )
         assert main(["assurance", "--in", str(path), "--prior", "high_ph:1.0"]) == 3
         assert ":3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("replicates", ["0", "-5"])
+    def test_nonpositive_replicates_exit_3(self, tmp_path, capsys, replicates):
+        path = tmp_path / "power.csv"
+        path.write_text(
+            "scenario,method,rejection_rate,mc_standard_error,replicates,seed\n"
+            f"high_ph,LR,0.5,0.0,{replicates},0\n"
+        )
+        assert main(["assurance", "--in", str(path), "--prior", "high_ph:1.0"]) == 3
+        assert ":2: replicates must be >= 1" in capsys.readouterr().err
+
+    def test_scenarios_with_different_methods_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "power.csv"
+        write_power_csv(path, [
+            OperatingCharacteristics("a", 1000, 0, {"LR": 0.8}),
+            OperatingCharacteristics("b", 1000, 0, {"MW": 0.4}),
+        ])
+        assert main(["assurance", "--in", str(path), "--prior", "a:0.5,b:0.5"]) == 3
+        assert "scenario 'a' has no row for method 'MW'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["all", "LR"])
+    def test_header_only_power_csv_exits_3(self, tmp_path, capsys, method):
+        path = tmp_path / "power.csv"
+        write_power_csv(path, [])
+        assert main([
+            "assurance", "--in", str(path), "--prior", "a:1.0", "--method", method,
+        ]) == 3
+        assert "no rows" in capsys.readouterr().err
 
     def test_missing_power_csv_exits_3(self, tmp_path):
         assert main([

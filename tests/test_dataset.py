@@ -228,7 +228,7 @@ class TestCsv:
         with pytest.raises(DataError, match=r":1"):
             read_survival_csv(path)
 
-    @pytest.mark.parametrize("raw", ["nan", "inf", "-1", "oops"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-1", "oops", "1_0"])
     def test_bad_time_reports_line(self, tmp_path, raw):
         path = tmp_path / "bad.csv"
         path.write_text(f"time,event,arm\n1.0,1,0\n{raw},1,1\n")

@@ -229,6 +229,37 @@ class TestPowerIo:
         with pytest.raises(DataError, match=":3: duplicate"):
             read_power_csv(path)
 
+    def test_read_rejects_header_only_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_power_csv(path, [])
+        with pytest.raises(DataError, match="no rows"):
+            read_power_csv(path)
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_read_rejects_nonpositive_replicates(self, tmp_path, reps):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "scenario,method,rejection_rate,mc_standard_error,replicates,seed\n"
+            f"s,LR,0.5,0.0,1000,0\ns,MW,0.5,0.0,{reps},0\n"
+        )
+        with pytest.raises(DataError, match=f":3: replicates must be >= 1, got {reps}"):
+            read_power_csv(path)
+
+    def test_read_rejects_scenarios_with_different_methods(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_power_csv(path, [
+            OperatingCharacteristics("s", 1000, 0, {"LR": 0.5, "MW": 0.5}),
+            OperatingCharacteristics("t", 1000, 0, {"LR": 0.5}),
+            OperatingCharacteristics("u", 1000, 0, {"LR": 0.5, "MW": 0.5, "FH": 0.5}),
+        ])
+        with pytest.raises(DataError, match="scenario 's' has no row for method 'FH'"):
+            read_power_csv(path)
+        write_power_csv(path, self._sample_ocs()[:1] + [
+            OperatingCharacteristics("high_equal", 1000, 0, {"LR": 0.5}),
+        ])
+        with pytest.raises(DataError, match="scenario 'high_equal' has no row for method 'MW'"):
+            read_power_csv(path)
+
     @pytest.mark.parametrize("reps,seed", [(200, 0), (1000, 7), (200, 7)])
     def test_read_rejects_conflicting_replicates_or_seed(self, tmp_path, reps, seed):
         path = tmp_path / "bad.csv"

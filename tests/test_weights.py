@@ -1,11 +1,23 @@
 """Tests for the three weight families and the weight-spec grammar."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from rmwtest.cli import parse_weight_spec
 from rmwtest.errors import GrammarError
-from rmwtest.weights import WeightSpec, parse_weight_spec, weights_from_km_left
+from rmwtest.weights import WeightSpec, weights_from_km_left
+
+PARAMETER = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+SPECS = st.one_of(
+    st.just(WeightSpec.constant()),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(WeightSpec.modest),
+    st.builds(WeightSpec.fleming_harrington, PARAMETER, PARAMETER),
+)
 
 
 class TestWeightSpec:
@@ -21,7 +33,10 @@ class TestWeightSpec:
     def test_modest_boundary_one_allowed(self):
         WeightSpec.modest(1.0)
 
-    @pytest.mark.parametrize("rho,gamma", [(-0.1, 0.0), (0.0, -0.1)])
+    @pytest.mark.parametrize(
+        "rho,gamma",
+        [(-0.1, 0.0), (0.0, -0.1), (np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, np.inf)],
+    )
     def test_fh_nonnegative(self, rho, gamma):
         with pytest.raises(ValueError):
             WeightSpec.fleming_harrington(rho, gamma)
@@ -29,6 +44,13 @@ class TestWeightSpec:
     def test_labels(self):
         assert WeightSpec.modest(0.5).label() == "mw(0.5)"
         assert WeightSpec.fleming_harrington(0, 0.5).label() == "fh(0,0.5)"
+        # all significant digits, not the six of '%g'
+        assert WeightSpec.modest(0.123456789).label() == "mw(0.123456789)"
+        assert WeightSpec.fleming_harrington(1e6, 2.5e-7).label() == "fh(1000000,2.5e-07)"
+
+    @given(spec=SPECS)
+    def test_label_round_trips(self, spec):
+        assert parse_weight_spec(spec.label()) == spec
 
 
 class TestEvaluateWeights:
@@ -81,6 +103,8 @@ class TestGrammar:
             ("fh(0,0.5)", WeightSpec.fleming_harrington(0, 0.5)),
             ("  fh( 1 , 2 ) ", WeightSpec.fleming_harrington(1, 2)),
             ("FH(0,0.5)", WeightSpec.fleming_harrington(0, 0.5)),
+            ("fh(rho=0,gamma=0.5)", WeightSpec.fleming_harrington(0, 0.5)),
+            ("lr()", WeightSpec.constant()),
         ],
     )
     def test_accepts(self, text, expected):
@@ -97,10 +121,32 @@ class TestGrammar:
     def test_not_a_number(self):
         with pytest.raises(GrammarError, match="not a number"):
             parse_weight_spec("mw(abc)")
+        with pytest.raises(GrammarError, match="offset 3: not a number: '0_5'"):
+            parse_weight_spec("mw(0_5)")
 
-    def test_offset_shift_for_embedded_specs(self):
-        with pytest.raises(GrammarError, match="offset 10"):
-            parse_weight_spec("welch(1)", offset=10)
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("fh(gamma=0.5,rho=0)", "offset 3: parameter 1 of fh is 'rho', got 'gamma'"),
+            ("fh(0,rho=0.5)", "offset 5: parameter 2 of fh is 'gamma', got 'rho'"),
+            ("mw(x=0.5)", "offset 3: parameter 1 of mw is 's*', got 'x'"),
+        ],
+    )
+    def test_named_parameter_must_be_at_its_position(self, text, message):
+        with pytest.raises(GrammarError, match=re.escape(message)):
+            parse_weight_spec(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("mw(0.5", "offset 6: expected ',' or ')', got end of input"),
+            ("mw(0.5) x", "offset 8: expected end of input, got 'x'"),
+            ("", "offset 0: expected a weight family, got end of input"),
+        ],
+    )
+    def test_structure_errors_carry_offset(self, text, message):
+        with pytest.raises(GrammarError, match=re.escape(message)):
+            parse_weight_spec(text)
 
     def test_semantic_error_carries_offset(self):
         with pytest.raises(GrammarError, match="offset 3"):
