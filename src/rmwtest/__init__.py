@@ -39,7 +39,6 @@ from .simulator import (
     Scenario,
     get_scenario,
     read_scenario,
-    sample_event_time,
     scenario_hash,
     simulate_trial,
     write_scenario,
@@ -80,7 +79,6 @@ __all__ = [
     "read_scenario",
     "read_survival_csv",
     "run_combo_test",
-    "sample_event_time",
     "scenario_hash",
     "simulate_trial",
     "union_tail",

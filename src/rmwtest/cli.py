@@ -27,7 +27,7 @@ import scipy
 
 from . import __version__
 from .combo import ComboResult, ComboSpec, run_combo_test
-from .dataset import build_risk_table, read_survival_csv, write_survival_csv
+from .dataset import build_risk_table, parse_number, read_survival_csv, write_survival_csv
 from .errors import DataError, GrammarError, NumericalError
 from .harness import (
     AssuranceSpec,
@@ -51,6 +51,7 @@ from .weights import WeightSpec
 
 WORKERS_ENV = "RMWTEST_WORKERS"
 RMW_TEST = "max(lr,mw(0.5))"  # what `analyze --test rmw` runs
+_EXIT_CODES = ((GrammarError, 2), (DataError, 3), (NumericalError, 4), (ValueError, 2), (OSError, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +100,9 @@ class _Tokens:
 
 def _number(word: str, at: int) -> float:
     try:
-        if "_" in word:  # float() reads digit-group underscores; spreadsheets do not
-            raise ValueError(word)
-        return float(word)
-    except ValueError:
-        raise GrammarError(f"offset {at}: not a number: {word!r}") from None
+        return parse_number(word, float)
+    except ValueError as exc:
+        raise GrammarError(f"offset {at}: {exc}") from None
 
 
 _WEIGHT_FAMILIES = {  # name -> (constructor, parameter names by position)
@@ -346,12 +345,9 @@ def _resolve_workers(value) -> int:
     if value is None:
         value = os.environ.get(WORKERS_ENV, "1")
     try:
-        workers = int(value)
-    except (TypeError, ValueError):
-        raise GrammarError(f"workers must be an integer, got {value!r}") from None
-    if workers < 1:
-        raise GrammarError(f"workers must be >= 1, got {workers}")
-    return workers
+        return parse_number(value, int)  # estimate_power checks the range
+    except ValueError as exc:
+        raise GrammarError(f"workers: {exc}") from None
 
 
 def _cmd_power(ns: argparse.Namespace) -> int:
@@ -398,6 +394,16 @@ def _cmd_assurance(ns: argparse.Namespace) -> int:
 # parser
 
 
+def _option(kind: type):
+    """argparse ``type`` that reads a number with ``parse_number``; argparse prints its message."""
+    def read(text: str):
+        try:
+            return parse_number(text, kind)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmwtest",
@@ -417,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"'rmw' (shorthand for '{RMW_TEST}'), a single-test grammar like 'lr', "
              "'mw(0.5)', 'fh(0,0.5)', or 'max(<w1>,<w2>;k1=...,alpha=...)'",
     )
-    p.add_argument("--alpha", type=float, default=None, help="one-sided level for any test (default 0.025)")
+    p.add_argument("--alpha", type=_option(float), default=None, help="one-sided level for any test (default 0.025)")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_analyze)
 
@@ -425,8 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--scenario", help=f"built-in name, one of: {', '.join(BUILTIN_SCENARIOS)}")
     group.add_argument("--scenario-file", help="scenario JSON file")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--replicate", type=int, default=0, help="replicate index (default 0)")
+    p.add_argument("--seed", type=_option(int), default=0, help="master seed (default 0)")
+    p.add_argument("--replicate", type=_option(int), default=0, help="replicate index (default 0)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_simulate)
 
@@ -440,8 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--methods", action="append", default=None,
         help="method grammar or 'paper6' (repeatable; default paper6)",
     )
-    p.add_argument("--reps", type=int, default=10000, help="replicates per scenario (default 10000)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--reps", type=_option(int), default=10000, help="replicates per scenario (default 10000)")
+    p.add_argument("--seed", type=_option(int), default=0, help="master seed (default 0)")
     p.add_argument(
         "--workers", default=None,
         help=f"worker processes (default ${WORKERS_ENV} or 1); does not affect results",
@@ -471,21 +477,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return ns.func(ns)
-    except GrammarError as exc:
+    except (ValueError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:  # semantic config problems (bad scenario name, ...)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        # the first match wins; other ValueErrors are semantic config problems
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -171,47 +172,69 @@ def rows_to_arrays(table: Sequence[RiskTableRow]) -> RiskArrays:
     )
 
 
+# what float() and int() read, less digit-group underscores and non-ASCII digits
+_NUMBER_SYNTAX = {
+    int: re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII).fullmatch,
+    float: re.compile(
+        r"\s*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)\s*",
+        re.ASCII | re.IGNORECASE,
+    ).fullmatch,
+}
+
+
+def parse_number(text: str, kind: type[float] | type[int]) -> float | int:
+    """``kind(text)`` if ``text`` has the number syntax every input shares: ASCII
+    digits, no digit-group underscores. Otherwise ``ValueError("not a number:
+    '<text>'")``; callers say where the text came from and check its range."""
+    if _NUMBER_SYNTAX[kind](text) is None:
+        raise ValueError(f"not a number: {text!r}")
+    return kind(text)
+
+
+def _csv_rows(path, header: tuple[str, ...]) -> Iterator[tuple[int, Iterator[str]]]:
+    """``(line number, stripped fields)`` of each nonblank data row of a UTF-8
+    CSV file, with or without a byte order mark, whose stripped first row is
+    ``header``. A bad header, field count, encoding or field raises ``DataError``."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = csv.reader(fh)
+        try:
+            first = next(rows, [])
+            if tuple(map(str.strip, first)) != header:
+                raise DataError(f"{path}:1: expected header {','.join(header)}, got {','.join(first)!r}")
+            for row in rows:  # line_num is the file line a row ends on
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{rows.line_num}: expected {len(header)} fields, got {len(row)}")
+                yield rows.line_num, map(str.strip, row)
+        except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field past csv's size limit
+            raise DataError(f"{path}: {exc}") from None
+
+
 def read_survival_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read ``(time, event, arm)`` columns from a ``time,event,arm`` CSV file.
 
     Returns float64 times and int64 event and arm columns, in file order.
-    Malformed rows are hard errors that report the 1-based line number.
-    A leading UTF-8 byte order mark and CRLF line ends, as spreadsheets
-    write them, are accepted.
+    Malformed rows are hard errors that report the 1-based line number; a
+    byte order mark and CRLF line ends, as spreadsheets write them, are accepted.
     """
     times: list[float] = []
-    events: list[int] = []
-    arms: list[int] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, expected header {','.join(CSV_HEADER)}")
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise DataError(
-                f"{path}:1: expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            raw_time, raw_event, raw_arm = (f.strip() for f in row)
-            try:
-                if "_" in raw_time:  # float() reads digit-group underscores; spreadsheets do not
-                    raise ValueError(raw_time)
-                time = float(raw_time)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: time is not a number: {raw_time!r}") from None
-            if not (math.isfinite(time) and time >= 0):
-                raise DataError(f"{path}:{lineno}: time must be finite and >= 0, got {raw_time}")
-            if raw_event not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: event must be 0 or 1, got {raw_event!r}")
-            if raw_arm not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: arm must be 0 or 1, got {raw_arm!r}")
-            times.append(time)
-            events.append(int(raw_event))
-            arms.append(int(raw_arm))
+    events: list[bool] = []
+    arms: list[bool] = []
+    for lineno, (raw_time, raw_event, raw_arm) in _csv_rows(path, CSV_HEADER):
+        try:
+            time = parse_number(raw_time, float)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: time is {exc}") from None
+        if not (math.isfinite(time) and time >= 0):
+            raise DataError(f"{path}:{lineno}: time must be finite and >= 0, got {raw_time}")
+        if raw_event not in ("0", "1"):
+            raise DataError(f"{path}:{lineno}: event must be 0 or 1, got {raw_event!r}")
+        if raw_arm not in ("0", "1"):
+            raise DataError(f"{path}:{lineno}: arm must be 0 or 1, got {raw_arm!r}")
+        times.append(time)
+        events.append(raw_event == "1")
+        arms.append(raw_arm == "1")
     return (
         np.array(times, dtype=np.float64),
         np.array(events, dtype=np.int64),

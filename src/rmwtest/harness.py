@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .combo import ComboSpec, combo_reject, correlation_from_arrays
-from .dataset import risk_arrays
+from .dataset import _csv_rows, parse_number, risk_arrays
 from .errors import DataError, NumericalError
 # perfbench/layers.py times the harness's trial simulation under this name
 from .simulator import Scenario, simulate_trial as _trial_arrays
@@ -177,8 +177,7 @@ def _decision_block(
 
 
 def _count_block(args) -> tuple[np.ndarray, list[tuple[int, str]]]:
-    scenario, methods, seed, start, stop = args
-    rows, degenerate = _decision_block(scenario, methods, seed, start, stop)
+    rows, degenerate = _decision_block(*args)
     return rows.sum(axis=0, dtype=np.int64), degenerate
 
 
@@ -202,23 +201,18 @@ def estimate_power(
         raise ValueError(f"workers must be >= 1, got {workers}")
     methods = tuple(methods)
     _RunPlan(methods)  # validate labels before any work
+    # blocks of 100-199 replicates whatever the worker count, so the pool
+    # only changes where the blocks run
+    edges = np.linspace(0, replicates, replicates // 100 + 1).astype(int)
+    tasks = [(scenario, methods, seed, int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
     if workers == 1:
-        counts, degenerate = _count_block((scenario, methods, seed, 0, replicates))
+        blocks = list(map(_count_block, tasks))
     else:
-        n_blocks = min(4 * workers, max(1, replicates // 100))
-        edges = np.linspace(0, replicates, n_blocks + 1).astype(int)
-        tasks = [
-            (scenario, methods, seed, int(a), int(b))
-            for a, b in zip(edges[:-1], edges[1:])
-            if b > a
-        ]
-        counts = np.zeros(len(methods), dtype=np.int64)
-        degenerate = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block_counts, block_degenerate in pool.map(_count_block, tasks):
-                counts += block_counts
-                degenerate.extend(block_degenerate)
-        degenerate.sort()
+            blocks = list(pool.map(_count_block, tasks))
+    counts = np.sum([block_counts for block_counts, _ in blocks], axis=0)
+    # blocks come back in order and each lists its replicates in order
+    degenerate = [entry for _, block_degenerate in blocks for entry in block_degenerate]
     for rep, msg in degenerate:
         logger.warning(
             "replicate %d of scenario %s degenerate (%s); counted as non-rejection",
@@ -284,58 +278,34 @@ def read_power_csv(path) -> dict[str, OperatingCharacteristics]:
     ``replicates`` and the same ``seed``, and every scenario the same method
     labels; anything else is a ``DataError``.
     """
-    import csv
-
-    grouped: dict[str, dict] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != _POWER_HEADER:
+    ocs: dict[str, OperatingCharacteristics] = {}
+    for lineno, (scenario, label, rate_s, _se, reps_s, seed_s) in _csv_rows(path, _POWER_HEADER):
+        try:
+            rate = parse_number(rate_s, float)
+            reps, seed = parse_number(reps_s, int), parse_number(seed_s, int)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: malformed numeric field: {exc}") from None
+        if not 0.0 <= rate <= 1.0:
+            raise DataError(f"{path}:{lineno}: rejection_rate outside [0, 1]: {rate}")
+        if reps < 1:
+            raise DataError(f"{path}:{lineno}: replicates must be >= 1, got {reps}")
+        oc = ocs.setdefault(scenario, OperatingCharacteristics(scenario, reps, seed, {}))
+        if (reps, seed) != (oc.replicates, oc.seed):
             raise DataError(
-                f"{path}:1: expected header {','.join(_POWER_HEADER)}, got {header!r}"
+                f"{path}:{lineno}: replicates={reps}, seed={seed} for {scenario!r} "
+                f"conflict with replicates={oc.replicates}, seed={oc.seed} on its earlier rows"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_POWER_HEADER):
-                raise DataError(f"{path}:{lineno}: expected {len(_POWER_HEADER)} fields")
-            scenario, label, rate_s, _se, reps_s, seed_s = (f.strip() for f in row)
-            try:
-                rate, reps, seed = float(rate_s), int(reps_s), int(seed_s)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed numeric field") from None
-            if not 0.0 <= rate <= 1.0:
-                raise DataError(f"{path}:{lineno}: rejection_rate outside [0, 1]: {rate}")
-            if reps < 1:
-                raise DataError(f"{path}:{lineno}: replicates must be >= 1, got {reps}")
-            entry = grouped.setdefault(
-                scenario, {"rates": {}, "replicates": reps, "seed": seed}
-            )
-            if (reps, seed) != (entry["replicates"], entry["seed"]):
-                raise DataError(
-                    f"{path}:{lineno}: replicates={reps}, seed={seed} for {scenario!r} "
-                    f"conflict with replicates={entry['replicates']}, seed={entry['seed']} "
-                    "on its earlier rows"
-                )
-            if label in entry["rates"]:
-                raise DataError(f"{path}:{lineno}: duplicate method {label!r} for {scenario!r}")
-            entry["rates"][label] = rate
-    if not grouped:
+        if label in oc.rates:
+            raise DataError(f"{path}:{lineno}: duplicate method {label!r} for {scenario!r}")
+        oc.rates[label] = rate
+    if not ocs:
         raise DataError(f"{path}: no rows")
-    labels = {label for entry in grouped.values() for label in entry["rates"]}
-    for name, entry in grouped.items():
-        missing = sorted(labels - entry["rates"].keys())
+    labels = {label for oc in ocs.values() for label in oc.rates}
+    for name, oc in ocs.items():
+        missing = sorted(labels - oc.rates.keys())
         if missing:
             raise DataError(f"{path}: scenario {name!r} has no row for method {missing[0]!r}")
-    return {
-        name: OperatingCharacteristics(
-            scenario=name,
-            replicates=entry["replicates"],
-            seed=entry["seed"],
-            rates=entry["rates"],
-        )
-        for name, entry in grouped.items()
-    }
+    return ocs
 
 
 def method_to_dict(m: MethodSpec) -> dict:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
+
 _KEY_MASK = (1 << 64) - 1
 
 
@@ -63,10 +65,6 @@ class PiecewiseHazard:
         out = cum[seg] + (t_arr - starts[seg]) * rates[seg]
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
-    def survival(self, t):
-        """Survivor function exp(-cumulative_hazard(t))."""
-        return np.exp(-self.cumulative_hazard(t))
-
     def inverse_cumulative_hazard(self, y):
         """Time at which the integrated hazard reaches y >= 0."""
         y_arr = np.asarray(y, dtype=np.float64)
@@ -108,16 +106,6 @@ class Scenario:
                 "require 0 < recruit_duration <= study_length, got "
                 f"recruit_duration={self.recruit_duration}, study_length={self.study_length}"
             )
-
-
-def sample_event_time(h: PiecewiseHazard, u: float) -> float:
-    """Event time with survivor function exp(-cumulative hazard), from one uniform draw.
-
-    Inverts the cumulative hazard at -log(u) for u in (0, 1).
-    """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie in (0, 1), got {u}")
-    return float(h.inverse_cumulative_hazard(-math.log(u)))
 
 
 def _stream_key(seed: int, replicate: int) -> int:
@@ -164,18 +152,38 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _checked(value, kind: type, field: str):
+    """``value`` if it is a JSON ``kind``; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        name = {float: "number", int: "integer", str: "string", list: "array", dict: "object"}[kind]
+        raise DataError(f"field {field!r} must be a JSON {name}, got {value!r}")
+    return value
+
+
+def _field(d, key: str, kind: type, prefix: str = ""):
+    if not isinstance(d, dict) or key not in d:
+        raise DataError(f"missing field {prefix + key!r}")
+    return _checked(d[key], kind, prefix + key)
+
+
+def _hazard(spec: dict, arm: str) -> PiecewiseHazard:
+    return PiecewiseHazard(*(
+        tuple(_checked(v, float, f"{arm}.{key}") for v in _field(spec, key, list, f"{arm}."))
+        for key in ("knots", "rates")
+    ))
+
+
 def scenario_from_dict(d: dict) -> Scenario:
-    try:
-        return Scenario(
-            name=d["name"],
-            n_total=int(d["n_total"]),
-            study_length=float(d["study_length"]),
-            recruit_duration=float(d["recruit_duration"]),
-            arm0=PiecewiseHazard(tuple(d["arm0"]["knots"]), tuple(d["arm0"]["rates"])),
-            arm1=PiecewiseHazard(tuple(d["arm1"]["knots"]), tuple(d["arm1"]["rates"])),
-        )
-    except KeyError as exc:
-        raise ValueError(f"scenario is missing field {exc.args[0]!r}") from None
+    """Scenario from its JSON form; a missing field, a string or bool where a
+    number belongs, or a fractional ``n_total`` raises ``DataError`` naming it."""
+    return Scenario(
+        name=_field(d, "name", str),
+        n_total=_field(d, "n_total", int),
+        study_length=float(_field(d, "study_length", float)),
+        recruit_duration=float(_field(d, "recruit_duration", float)),
+        arm0=_hazard(_field(d, "arm0", dict), "arm0"),
+        arm1=_hazard(_field(d, "arm1", dict), "arm1"),
+    )
 
 
 def write_scenario(path, s: Scenario) -> None:
@@ -185,8 +193,13 @@ def write_scenario(path, s: Scenario) -> None:
 
 
 def read_scenario(path) -> Scenario:
+    """Scenario from a JSON file; a file that is not a valid scenario raises
+    ``DataError`` naming the path."""
     with open(path, encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+        try:
+            return scenario_from_dict(json.load(fh))
+        except ValueError as exc:  # bad JSON or UTF-8, a bad field, an invalid scenario
+            raise DataError(f"{path}: {exc}") from None
 
 
 def scenario_hash(s: Scenario) -> str:

@@ -1,13 +1,14 @@
 """Tests for the command-line interface: method grammar, subcommands,
 exit codes, manifests, and byte-level determinism of outputs."""
 
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rmwtest.cli import main, parse_method_grammar
+from rmwtest.cli import _build_parser, main, parse_method_grammar
 from rmwtest.dataset import read_survival_csv
 from rmwtest.errors import GrammarError
 from rmwtest.harness import (
@@ -19,12 +20,27 @@ from rmwtest.simulator import (
     BUILTIN_SCENARIOS,
     PiecewiseHazard,
     Scenario,
+    scenario_to_dict,
     simulate_trial,
     write_scenario,
 )
 from rmwtest.weights import WeightSpec
 
 EXAMPLE_TRIAL = Path(__file__).resolve().parents[1] / "data" / "example_trial.csv"
+POWER_HEADER = "scenario,method,rejection_rate,mc_standard_error,replicates,seed\n"
+
+
+def example_trial_with_first_time(text):
+    """The example trial CSV with the time of its first subject replaced by ``text``."""
+    header, first, *rest = EXAMPLE_TRIAL.read_text().splitlines(keepends=True)
+    return header + text + first[first.index(","):] + "".join(rest)
+
+
+def scenario_json(drop=None, **fields):
+    """high_ph as JSON, with fields replaced and one field dropped."""
+    d = {**scenario_to_dict(BUILTIN_SCENARIOS["high_ph"]), **fields}
+    d.pop(drop, None)
+    return json.dumps(d)
 
 
 class TestMethodGrammar:
@@ -221,6 +237,28 @@ class TestSimulate:
             assert col.dtype == ref.dtype
             assert np.array_equal(col, ref)
 
+    @pytest.mark.parametrize("text,field", [
+        pytest.param('{"name": "x",', None, id="bad-json"),
+        pytest.param(scenario_json(drop="n_total"), "'n_total'", id="missing"),
+        pytest.param(scenario_json(n_total=1000.7), "'n_total'", id="fractional"),
+        pytest.param(scenario_json(n_total="1_000"), "'n_total'", id="string"),
+        pytest.param(scenario_json(n_total=True), "'n_total'", id="bool"),
+        pytest.param(scenario_json(n_total=999), "n_total", id="odd"),
+        pytest.param(scenario_json(arm0=[0.0462]), "'arm0'", id="arm-not-object"),
+        pytest.param(
+            scenario_json(arm1={"knots": [], "rates": ["0.0_462"]}), "'arm1.rates'", id="string-rate",
+        ),
+    ])
+    def test_bad_scenario_file_exits_3(self, tmp_path, capsys, text, field):
+        spath = tmp_path / "scenario.json"
+        spath.write_text(text)
+        out = tmp_path / "trial.csv"
+        assert main(["simulate", "--scenario-file", str(spath), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {spath}: " in err
+        assert field is None or field in err
+        assert not out.exists()
+
     def test_scenario_file_and_manifest_hash(self, tmp_path):
         h = PiecewiseHazard(knots=(), rates=(0.05,))
         scenario = Scenario("custom", 40, 12.0, 3.0, h, h)
@@ -392,10 +430,106 @@ class TestAssurance:
         ]) == 3
         assert "no rows" in capsys.readouterr().err
 
+    def test_byte_order_mark_accepted(self, tmp_path, capsys):
+        path = tmp_path / "power.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (POWER_HEADER + "high_ph,LR,0.5,0.0,1000,0\n").encode())
+        assert main(["assurance", "--in", str(path), "--prior", "high_ph:1.0"]) == 0
+        assert json.loads(capsys.readouterr().out)["assurance"] == {"LR": 0.5}
+
+    @pytest.mark.parametrize("command", ["analyze", "assurance"])
+    def test_file_that_is_not_utf8_exits_3(self, tmp_path, capsys, command):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"time,event,arm\n1.0,1,0\xe9\n")
+        argv = {
+            "analyze": ["analyze", "--data", str(path)],
+            "assurance": ["assurance", "--in", str(path), "--prior", "a:1.0"],
+        }[command]
+        assert main(argv) == 3
+        assert f"error: {path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
     def test_missing_power_csv_exits_3(self, tmp_path):
         assert main([
             "assurance", "--in", str(tmp_path / "none.csv"), "--prior", "a:1.0",
         ]) == 3
+
+
+class TestNumberSyntax:
+    """Every number in every input has one syntax, that of float() and int()
+    without digit-group underscores or non-ASCII digits. A bad number in a
+    file exits 3; in an option, RMWTEST_WORKERS or a spec string it exits 2."""
+
+    @pytest.mark.parametrize("argv,data,workers_env,code", [
+        pytest.param(
+            ["analyze", "--data", "{data}"], example_trial_with_first_time("\u0661\u0660"),
+            None, 3, id="csv-time-arabic-indic",
+        ),
+        pytest.param(
+            ["assurance", "--in", "{data}", "--prior", "high_ph:1.0"],
+            POWER_HEADER + "high_ph,LR,0.5,0.0,1_000,0\n", None, 3, id="power-csv-underscore",
+        ),
+        pytest.param(
+            ["assurance", "--in", "{data}", "--prior", "high_ph:1.0"],
+            POWER_HEADER + "high_ph,LR,0.5,0.0,\u0661\u0660\u0660,0\n", None, 3,
+            id="power-csv-arabic-indic",
+        ),
+        pytest.param(
+            ["analyze", "--data", str(EXAMPLE_TRIAL), "--test", "mw(\u0660.5)"], None, None, 2,
+            id="spec-arabic-indic",
+        ),
+        pytest.param(
+            ["analyze", "--data", str(EXAMPLE_TRIAL), "--alpha", "0.0_25"], None, None, 2,
+            id="alpha-underscore",
+        ),
+        pytest.param(
+            ["simulate", "--scenario", "high_ph", "--seed", "1_0", "--out", "{out}"], None, None, 2,
+            id="seed-underscore",
+        ),
+        pytest.param(
+            ["simulate", "--scenario", "high_ph", "--seed", "\u0661", "--out", "{out}"],
+            None, None, 2, id="seed-arabic-indic",
+        ),
+        pytest.param(
+            ["power", "--scenario", "high_equal", "--methods", "lr", "--reps", "1_00",
+             "--out", "{out}"], None, None, 2, id="reps-underscore",
+        ),
+        pytest.param(
+            ["assurance", "--in", "{data}", "--prior", "high_ph:\u0661"],
+            POWER_HEADER + "high_ph,LR,0.5,0.0,1000,0\n", None, 2, id="prior-arabic-indic",
+        ),
+        # a worker count that float/int would read as 1, so no pool starts either way
+        *(
+            pytest.param(
+                ["power", "--scenario", "high_equal", "--methods", "lr", "--reps", "100",
+                 *flag, "--out", "{out}"], None, env, 2, id=f"workers-{where}-{name}",
+            )
+            for value, name in (("0_1", "underscore"), ("\u0661", "arabic-indic"))
+            for flag, env, where in ((["--workers", value], None, "option"), ([], value, "env"))
+        ),
+    ])
+    def test_rejected(self, tmp_path, monkeypatch, capsys, argv, data, workers_env, code):
+        data_path, out = tmp_path / "input.csv", tmp_path / "out.csv"
+        if data is not None:
+            data_path.write_text(data, encoding="utf-8")
+        if workers_env is not None:
+            monkeypatch.setenv("RMWTEST_WORKERS", workers_env)
+        assert main([a.format(data=data_path, out=out) for a in argv]) == code
+        assert "not a number: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_numeric_option_reads_through_parse_number(self):
+        """A numeric option declared with type=int or type=float would skip the
+        one number syntax (int reads '1_0' as 10)."""
+
+        def actions(parser):
+            for action in parser._actions:
+                yield action
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from actions(sub)
+
+        found = list(actions(_build_parser()))
+        assert {"seed", "replicate", "reps", "alpha", "workers"} <= {a.dest for a in found}
+        assert [a.dest for a in found if a.type in (int, float)] == []
 
 
 class TestTopLevel:

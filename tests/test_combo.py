@@ -211,6 +211,17 @@ class TestCriticalValues:
         cs = [critical_values(spec, rho)[0] for rho in (0.0, 0.25, 0.5, 0.75, 0.95, 1.0)]
         assert all(a > b for a, b in zip(cs, cs[1:]))
 
+    @pytest.mark.parametrize("k1", [0.5, 0.6])
+    @given(rho1=st.floats(0.0, 1.0), rho2=st.floats(0.0, 1.0))
+    def test_nonincreasing_in_correlation(self, k1, rho1, rho2):
+        """c and both thresholds do not rise with rho, up to the tolerance of
+        the bisection on c (1e-12 on c, so 1e-12 * t / c on a threshold t)."""
+        spec = ComboSpec(LR, MW, k1, 1.0 - k1)
+        lo, hi = sorted((rho1, rho2))
+        at_lo, at_hi = critical_values(spec, lo), critical_values(spec, hi)
+        for v_lo, v_hi in zip(at_lo, at_hi):
+            assert v_hi <= v_lo + 2e-12 * v_lo / at_lo[0]
+
     @pytest.mark.parametrize("rho", [0.0, 1.0])
     def test_extreme_specs_solve_inside_fixed_bracket(self, rho):
         """The root search brackets [0, 10] without expansion, even with alpha

@@ -1,5 +1,7 @@
 """Tests for subject columns, risk-table construction, and CSV I/O."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 from rmwtest.dataset import (
     RiskTableRow,
     build_risk_table,
+    parse_number,
     read_survival_csv,
     risk_arrays,
     rows_to_arrays,
@@ -228,10 +231,10 @@ class TestCsv:
         with pytest.raises(DataError, match=r":1"):
             read_survival_csv(path)
 
-    @pytest.mark.parametrize("raw", ["nan", "inf", "-1", "oops", "1_0"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-1", "oops", "1_0", "\u0661\u0660"])
     def test_bad_time_reports_line(self, tmp_path, raw):
         path = tmp_path / "bad.csv"
-        path.write_text(f"time,event,arm\n1.0,1,0\n{raw},1,1\n")
+        path.write_text(f"time,event,arm\n1.0,1,0\n{raw},1,1\n", encoding="utf-8")
         with pytest.raises(DataError, match=r":3: time"):
             read_survival_csv(path)
 
@@ -247,8 +250,57 @@ class TestCsv:
         with pytest.raises(DataError, match=r":3: arm must be 0 or 1"):
             read_survival_csv(path)
 
+    @pytest.mark.parametrize("raw", [
+        b"",
+        b"time,event,arm\n1.0,1,0\n2.0,0,1\xe9\n",
+        b"time,event,arm\n" + b"1" * 200_000 + b",1,0\n",  # past the csv module's field limit
+    ], ids=["empty", "not-utf8", "huge-field"])
+    def test_unreadable_file_names_path(self, tmp_path, raw):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataError) as info:
+            read_survival_csv(path)
+        assert str(info.value).startswith(f"{path}")
+
+    def test_line_number_counts_file_lines(self, tmp_path):
+        # the quoted time spans lines 2 and 3, so the bad row is on line 4
+        path = tmp_path / "bad.csv"
+        path.write_text('time,event,arm\n"1.0\n",1,0\nbad,1,1\n')
+        with pytest.raises(DataError, match=r":4: time is not a number: 'bad'"):
+            read_survival_csv(path)
+
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,event,arm\n1.0,1\n")
         with pytest.raises(DataError, match=r":2"):
             read_survival_csv(path)
+
+
+class TestNumberSyntax:
+    """parse_number is the one number reader of every text input."""
+
+    @pytest.mark.parametrize("text,kind,want", [
+        ("10", int, 10), ("-3", int, -3), (" 7 ", int, 7), ("+2", int, 2),
+        ("1.5", float, 1.5), (".5", float, 0.5), ("1e-3", float, 0.001), ("2E+16", float, 2e16),
+        ("-inf", float, -math.inf), ("Infinity", float, math.inf),
+    ])
+    def test_accepts(self, text, kind, want):
+        got = parse_number(text, kind)
+        assert type(got) is kind and got == want
+
+    def test_accepts_nan(self):
+        assert math.isnan(parse_number("nan", float))
+
+    @pytest.mark.parametrize("text,kind", [
+        ("1_0", int), ("1_0", float), ("0.0_25", float), ("\u0661\u0660", int), ("\u0660.5", float),
+        ("1.5", int), ("1e3", int), ("nan", int), ("0x10", int), ("", float), (".", float),
+        ("e5", float), ("1e", float), ("1,5", float), ("\u20031\u2003", float),
+    ])
+    def test_rejects_with_one_message(self, text, kind):
+        with pytest.raises(ValueError) as info:
+            parse_number(text, kind)
+        assert str(info.value) == f"not a number: {text!r}"
+
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_repr_round_trips(self, x):
+        assert parse_number(repr(x), float) == x

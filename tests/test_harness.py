@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rmwtest.combo import ComboSpec, run_combo_test
+from rmwtest.combo import ComboSpec, combo_pvalue, run_combo_test
 from rmwtest.dataset import build_risk_table
 from rmwtest.errors import DataError
 from rmwtest.harness import (
@@ -113,6 +115,24 @@ class TestEstimatePower:
             table = build_risk_table(time, event, arm)
             want = [run_combo_test(m.combo, table).reject for m in methods]
             assert _replicate_row(plan, time, event, arm).tolist() == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(scenario=st.sampled_from(["high_equal", "high_delayed"]), rep=st.integers(0, 10**6))
+    def test_replicate_row_agrees_with_p_values(self, scenario, rep):
+        """Each harness decision is combo_pvalue(...) <= alpha: exactly when p
+        is at most alpha, and up to the p-value's bisection tolerance when it
+        rejects (as in test_combo's test_p_and_reject_agree)."""
+        methods = paper_methods()
+        time, event, arm = simulate_trial(BUILTIN_SCENARIOS[scenario], 8, rep)
+        row = _replicate_row(_RunPlan(methods), time, event, arm)
+        table = build_risk_table(time, event, arm)
+        for method, reject in zip(methods, row):
+            res = run_combo_test(method.combo, table)
+            p = combo_pvalue(method.combo, res.z1, res.z2, res.correlation)
+            if p <= method.combo.alpha:
+                assert reject
+            if reject:
+                assert p <= method.combo.alpha + 1e-10
 
     def test_replicate_decisions_independent_of_blocking(self):
         methods = paper_methods()[:3]
