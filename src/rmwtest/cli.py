@@ -19,7 +19,7 @@ import platform
 import re
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -27,7 +27,9 @@ import scipy
 
 from . import __version__
 from .combo import ComboResult, ComboSpec, run_combo_test
-from .dataset import build_risk_table, parse_number, read_survival_csv, write_survival_csv
+from .dataset import (
+    SPEC_PUNCTUATION, SPEC_WORD, build_risk_table, parse_number, read_survival_csv, write_survival_csv,
+)
 from .errors import DataError, GrammarError, NumericalError
 from .harness import (
     AssuranceSpec,
@@ -50,7 +52,6 @@ from .simulator import (
 from .weights import WeightSpec
 
 WORKERS_ENV = "RMWTEST_WORKERS"
-RMW_TEST = "max(lr,mw(0.5))"  # what `analyze --test rmw` runs
 _EXIT_CODES = ((GrammarError, 2), (DataError, 3), (NumericalError, 4), (ValueError, 2), (OSError, 3))
 
 
@@ -58,8 +59,7 @@ _EXIT_CODES = ((GrammarError, 2), (DataError, 3), (NumericalError, 4), (ValueErr
 # spec grammar: weights, methods and priors
 
 
-_PUNCTUATION = "(),;=:"
-_TOKEN_RE = re.compile(r"[(),;=:]|[^\s(),;=:]+")
+_TOKEN_RE = re.compile(f"[{re.escape(SPEC_PUNCTUATION)}]|{SPEC_WORD}")
 
 
 class _Tokens:
@@ -87,7 +87,7 @@ class _Tokens:
 
     def word(self, what: str) -> tuple[str, int]:
         token = self.items[self.i]
-        if token[0] in _PUNCTUATION:  # the end token "" is in every string
+        if token[0] in SPEC_PUNCTUATION:  # the end token "" is in every string
             raise self.error(what)
         self.i += 1
         return token
@@ -161,19 +161,27 @@ def parse_weight_spec(text: str) -> WeightSpec:
     return spec
 
 
+# the grammar's keywords; a keyword for one method labels it with the input text
+_KEYWORDS = {
+    "paper6": lambda label: list(paper_methods()),
+    "rmw": lambda label: [MethodSpec(label, ComboSpec(WeightSpec.constant(), WeightSpec.modest(0.5)))],
+}
+
+
 def parse_method_grammar(text: str) -> list[MethodSpec]:
     """One method string -> a one-item list; the keyword ``paper6`` -> six.
 
-    Accepts single-test shorthands (``lr``, ``mw(0.5)``, ``fh(0,0.5)``) and
-    the combination form ``max(<w1>,<w2>;k1=<real>,alpha=<real>)`` where the
-    parameter block is optional (defaults k1=0.5, alpha=0.025). The label is
-    the stripped input text. Errors carry the byte offset of the problem.
+    Accepts single-test shorthands (``lr``, ``mw(0.5)``, ``fh(0,0.5)``), the
+    keyword ``rmw`` for ``max(lr,mw(0.5))``, and the combination form
+    ``max(<w1>,<w2>;k1=<real>,alpha=<real>)`` whose optional parameters
+    default to those of ``ComboSpec``. The label is the stripped input
+    text. Errors carry the byte offset of the problem.
     """
     tokens = _Tokens(text)
     head = tokens.peek()[0].lower()
-    if head == "paper6":
+    if head in _KEYWORDS:
         tokens.word(head)
-        methods = list(paper_methods())
+        methods = _KEYWORDS[head](text.strip())
     elif head == "max":
         tokens.word(head)
         open_at = tokens.expect("(")
@@ -194,26 +202,16 @@ def parse_method_grammar(text: str) -> list[MethodSpec]:
             tokens.expect("=")
             params[key] = _number(*tokens.word("a number"))
         tokens.expect(")")
-        k1 = params.get("k1", 0.5)
         try:
-            combo = ComboSpec(*weights, k1=k1, k2=1.0 - k1, alpha=params.get("alpha", 0.025))
+            combo = ComboSpec(*weights, **params)
         except ValueError as exc:
             raise GrammarError(f"offset {open_at + 1}: {exc}") from None
         methods = [MethodSpec(label=text.strip(), combo=combo)]
     else:
         w = _weight(tokens)
-        methods = [MethodSpec(label=text.strip(), combo=ComboSpec(w, w, k1=1.0, k2=0.0))]
+        methods = [MethodSpec(label=text.strip(), combo=ComboSpec(w, w, k1=1.0))]
     tokens.expect("", "end of input")
     return methods
-
-
-def _expand_methods(texts: list[str]) -> list[MethodSpec]:
-    out = [m for text in texts for m in parse_method_grammar(text)]
-    labels = [m.label for m in out]
-    if len(set(labels)) != len(labels):
-        dup = next(l for l in labels if labels.count(l) > 1)
-        raise GrammarError(f"duplicate method label {dup!r}")
-    return out
 
 
 def _parse_prior(text: str) -> AssuranceSpec:
@@ -222,8 +220,6 @@ def _parse_prior(text: str) -> AssuranceSpec:
     prior: dict[str, float] = {}
     while not prior or tokens.accept(","):
         name, at = tokens.word("'<scenario>:<weight>'")
-        if not name.isidentifier():
-            raise GrammarError(f"offset {at}: expected '<scenario>:<weight>', got {name!r}")
         if name in prior:
             raise GrammarError(f"offset {at}: duplicate scenario {name!r}")
         tokens.expect(":")
@@ -294,16 +290,8 @@ def _emit(ns: argparse.Namespace, text: str, extra: dict | None = None) -> None:
 
 
 def _result_payload(res: ComboResult) -> dict:
-    return {
-        "z1": res.z1,
-        "z2": res.z2,
-        "correlation": res.correlation,
-        "c": res.c,
-        "threshold1": res.threshold1,
-        "threshold2": None if math.isinf(res.threshold2) else res.threshold2,
-        "reject": res.reject,
-        "p_value": res.p_value,
-    }
+    # a single test has no second threshold, which JSON writes as null
+    return {**asdict(res), "threshold2": None if math.isinf(res.threshold2) else res.threshold2}
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +299,7 @@ def _result_payload(res: ComboResult) -> dict:
 
 
 def _cmd_analyze(ns: argparse.Namespace) -> int:
-    test = RMW_TEST if ns.test.strip().lower() == "rmw" else ns.test
-    methods = parse_method_grammar(test)
+    methods = parse_method_grammar(ns.test)
     if len(methods) != 1:
         raise GrammarError("analyze needs a single test; 'paper6' is a method set")
     spec = methods[0].combo
@@ -351,7 +338,7 @@ def _resolve_workers(value) -> int:
 
 
 def _cmd_power(ns: argparse.Namespace) -> int:
-    methods = _expand_methods(ns.methods if ns.methods else ["paper6"])
+    methods = [m for text in ns.methods or ["paper6"] for m in parse_method_grammar(text)]
     scenarios = []
     if ns.scenario:
         names = list(BUILTIN_SCENARIOS) if ns.scenario == "all" else [
@@ -420,10 +407,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="input CSV with header time,event,arm")
     p.add_argument(
         "--test", default="rmw",
-        help=f"'rmw' (shorthand for '{RMW_TEST}'), a single-test grammar like 'lr', "
-             "'mw(0.5)', 'fh(0,0.5)', or 'max(<w1>,<w2>;k1=...,alpha=...)'",
+        help="one test of the method grammar: 'rmw' (the default, 'max(lr,mw(0.5))'), 'lr', "
+             "'mw(0.5)', 'fh(0,0.5)' or 'max(<w1>,<w2>;k1=...,alpha=...)'; not the set 'paper6'",
     )
-    p.add_argument("--alpha", type=_option(float), default=None, help="one-sided level for any test (default 0.025)")
+    p.add_argument("--alpha", type=_option(float), default=None, help="one-sided level for any test (default: the test's own)")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_analyze)
 
@@ -444,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario-file", action="append", default=None, help="additional scenario JSON (repeatable)")
     p.add_argument(
         "--methods", action="append", default=None,
-        help="method grammar or 'paper6' (repeatable; default paper6)",
+        help="method grammar, 'rmw' or 'paper6' (repeatable; default paper6)",
     )
     p.add_argument("--reps", type=_option(int), default=10000, help="replicates per scenario (default 10000)")
     p.add_argument("--seed", type=_option(int), default=0, help="master seed (default 0)")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,23 +33,26 @@ _QUAD_TOL = 1e-13
 class ComboSpec:
     """Definition of a two-component max-combo test.
 
-    ``k1`` and ``k2`` split the one-sided level ``alpha`` between the two
-    components; k2 = 0 degenerates to the w1 test alone.
+    ``k1`` of the one-sided level ``alpha`` goes to the w1 statistic and
+    ``k2 = 1 - k1`` to the w2 statistic; k1 = 1 degenerates to the w1 test
+    alone.
     """
 
     w1: WeightSpec
     w2: WeightSpec
     k1: float = 0.5
-    k2: float = 0.5
-    alpha: float = 0.025
+    alpha: float = field(default=0.025, kw_only=True)
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.k2 <= self.k1 <= 1.0):
-            raise ValueError(f"require 0 <= k2 <= k1 <= 1, got k1={self.k1}, k2={self.k2}")
-        if abs(self.k1 + self.k2 - 1.0) > 1e-9:
-            raise ValueError(f"k1 + k2 must equal 1, got {self.k1 + self.k2}")
+        if not 0.5 <= self.k1 <= 1.0:
+            raise ValueError(f"require 0.5 <= k1 <= 1, got k1={self.k1}")
         if not 0.0 < self.alpha < 0.5:
             raise ValueError(f"require 0 < alpha < 0.5, got {self.alpha}")
+
+    @property
+    def k2(self) -> float:
+        """The w2 statistic's share of ``alpha``."""
+        return 1.0 - self.k1
 
 
 @dataclass(frozen=True)
@@ -201,7 +204,7 @@ def null_correlation(
 def _ray(spec: ComboSpec, alpha: float) -> tuple[float, float]:
     """Direction of the threshold pair: (1, 1) for an equal split, otherwise
     the per-component quantiles ndtri(1 - k_i * alpha)."""
-    if spec.k1 == spec.k2:
+    if spec.k1 == 0.5:
         return 1.0, 1.0
     return float(ndtri(1.0 - spec.k1 * alpha)), float(ndtri(1.0 - spec.k2 * alpha))
 
@@ -211,7 +214,7 @@ def critical_values(spec: ComboSpec, correlation: float) -> tuple[float, float, 
 
     Equal split solves P(max(Z1, Z2) > c) = alpha with both thresholds
     equal to c. Unequal split solves for the common scaling c applied to
-    the per-component quantiles ndtri(1 - k_i * alpha). With k2 = 0 the
+    the per-component quantiles ndtri(1 - k_i * alpha). With k1 = 1 the
     test degenerates: threshold1 = ndtri(1 - alpha), threshold2 = +inf.
 
     The root always lies in [0, 10]: at 0 the union tail is at least 1/2,
@@ -220,7 +223,7 @@ def critical_values(spec: ComboSpec, correlation: float) -> tuple[float, float, 
     if math.isnan(correlation) or not 0.0 <= correlation <= 1.0:
         raise ValueError(f"correlation must lie in [0, 1], got {correlation}")
     alpha = spec.alpha
-    if spec.k2 == 0.0:
+    if spec.k1 == 1.0:
         return 1.0, float(ndtri(1.0 - alpha)), math.inf
     q1, q2 = _ray(spec, alpha)
     c = float(bisect(
@@ -232,7 +235,7 @@ def critical_values(spec: ComboSpec, correlation: float) -> tuple[float, float, 
 
 def _observed_tail(spec: ComboSpec, z1: float, z2: float, rho: float, alpha: float) -> float:
     """Union tail at the observed statistics scaled onto the level-alpha threshold ray."""
-    if spec.k2 == 0.0:
+    if spec.k1 == 1.0:
         return _q(z1)
     q1, q2 = _ray(spec, alpha)
     m = max(z1 / q1, z2 / q2)
@@ -265,7 +268,7 @@ def combo_pvalue(spec: ComboSpec, z1: float, z2: float, correlation: float) -> f
     """
     if math.isnan(correlation) or not 0.0 <= correlation <= 1.0:
         raise ValueError(f"correlation must lie in [0, 1], got {correlation}")
-    if spec.k2 == 0.0 or spec.k1 == spec.k2:
+    if spec.k1 in (1.0, 0.5):
         return _clamp_p(_observed_tail(spec, z1, z2, correlation, spec.alpha))
     lo, hi = 1e-12, 0.5
     if _rejects(spec, z1, z2, correlation, lo):

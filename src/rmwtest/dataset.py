@@ -182,6 +182,12 @@ _NUMBER_SYNTAX = {
 }
 
 
+# the spec grammar's punctuation; a word of a spec string, such as a scenario
+# name, is a run of characters that are neither punctuation nor whitespace
+SPEC_PUNCTUATION = "(),;=:"
+SPEC_WORD = f"[^\\s{re.escape(SPEC_PUNCTUATION)}]+"
+
+
 def parse_number(text: str, kind: type[float] | type[int]) -> float | int:
     """``kind(text)`` if ``text`` has the number syntax every input shares: ASCII
     digits, no digit-group underscores. Otherwise ``ValueError("not a number:

@@ -22,7 +22,7 @@ from .combo import ComboSpec, combo_reject, correlation_from_arrays
 from .dataset import _csv_rows, parse_number, risk_arrays
 from .errors import DataError, NumericalError
 # perfbench/layers.py times the harness's trial simulation under this name
-from .simulator import Scenario, simulate_trial as _trial_arrays
+from .simulator import Scenario, _stream_key, simulate_trial as _trial_arrays
 from .weights import WeightSpec, weights_from_km_left
 from .wlrt import moment_arrays, statistic_from_arrays
 
@@ -31,7 +31,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A labeled test; single tests are combos with k2 = 0."""
+    """A labeled test; single tests are combos with k1 = 1."""
 
     label: str
     combo: ComboSpec
@@ -51,17 +51,13 @@ def paper_methods() -> tuple[MethodSpec, ...]:
     lr = WeightSpec.constant()
     mw = WeightSpec.modest(0.5)
     fh = WeightSpec.fleming_harrington(0.0, 0.5)
-
-    def single(label: str, w: WeightSpec) -> MethodSpec:
-        return MethodSpec(label, ComboSpec(w, w, k1=1.0, k2=0.0))
-
     return (
-        single("LR", lr),
-        single("MW", mw),
-        MethodSpec("rMW(k1=0.5)", ComboSpec(lr, mw, k1=0.5, k2=0.5)),
-        MethodSpec("rMW(k1=0.6)", ComboSpec(lr, mw, k1=0.6, k2=0.4)),
-        single("FH", fh),
-        MethodSpec("MaxCombo", ComboSpec(lr, fh, k1=0.5, k2=0.5)),
+        MethodSpec("LR", ComboSpec(lr, lr, k1=1.0)),
+        MethodSpec("MW", ComboSpec(mw, mw, k1=1.0)),
+        MethodSpec("rMW(k1=0.5)", ComboSpec(lr, mw)),
+        MethodSpec("rMW(k1=0.6)", ComboSpec(lr, mw, k1=0.6)),
+        MethodSpec("FH", ComboSpec(fh, fh, k1=1.0)),
+        MethodSpec("MaxCombo", ComboSpec(lr, fh)),
     )
 
 
@@ -109,8 +105,11 @@ class _RunPlan:
 
     def __init__(self, methods: Sequence[MethodSpec]):
         labels = [m.label for m in methods]
-        if len(set(labels)) != len(labels):
-            raise ValueError("method labels must be unique within a run")
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(
+                    f"duplicate method label {label!r}; method labels must be unique within a run"
+                )
         self.methods = tuple(methods)
         self.specs: list[WeightSpec] = []
         index: dict[WeightSpec, int] = {}
@@ -125,9 +124,9 @@ class _RunPlan:
         pair_set: dict[tuple[int, int], None] = {}
         for m in methods:
             i = intern(m.combo.w1)
-            j = intern(m.combo.w2) if m.combo.k2 > 0.0 else i
+            j = i if m.combo.k1 == 1.0 else intern(m.combo.w2)
             self.components.append((i, j))
-            if m.combo.k2 > 0.0 and i != j:
+            if i != j:
                 pair_set[(i, j)] = None
         self.pairs = tuple(pair_set)
 
@@ -146,7 +145,7 @@ def _replicate_row(plan: _RunPlan, time, event, arm) -> np.ndarray:
     for m, method in enumerate(plan.methods):
         i, j = plan.components[m]
         # identical components are perfectly correlated; single tests (i == j
-        # with k2 = 0) never read the correlation
+        # with k1 = 1) never read the correlation
         r = rho[(i, j)] if i != j else 1.0
         row[m] = combo_reject(method.combo, stats[i][2], stats[j][2], r)
     return row
@@ -201,6 +200,7 @@ def estimate_power(
         raise ValueError(f"workers must be >= 1, got {workers}")
     methods = tuple(methods)
     _RunPlan(methods)  # validate labels before any work
+    _stream_key(seed, replicates - 1)  # and the seed and every replicate index
     # blocks of 100-199 replicates whatever the worker count, so the pool
     # only changes where the blocks run
     edges = np.linspace(0, replicates, replicates // 100 + 1).astype(int)

@@ -11,13 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import SPEC_PUNCTUATION, SPEC_WORD
 from .errors import DataError
-
-_KEY_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,11 @@ class Scenario:
     arm1: PiecewiseHazard
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("scenario name must be nonempty")
+        if re.fullmatch(SPEC_WORD, self.name) is None:
+            raise ValueError(
+                f"scenario name must be nonempty, without whitespace or any of "
+                f"{SPEC_PUNCTUATION!r}, got {self.name!r}"
+            )
         if not (isinstance(self.n_total, int) and self.n_total >= 2 and self.n_total % 2 == 0):
             raise ValueError(f"n_total must be an even integer >= 2, got {self.n_total}")
         if not (
@@ -109,8 +112,10 @@ class Scenario:
 
 
 def _stream_key(seed: int, replicate: int) -> int:
-    """128-bit Philox key from (master seed, replicate index)."""
-    return ((replicate & _KEY_MASK) << 64) | (seed & _KEY_MASK)
+    """128-bit Philox key from (master seed, replicate index), each in [0, 2**64)."""
+    if not (0 <= seed < 1 << 64 and 0 <= replicate < 1 << 64):
+        raise ValueError(f"seed and replicate must lie in [0, 2**64), got {seed} and {replicate}")
+    return (replicate << 64) | seed
 
 
 def simulate_trial(

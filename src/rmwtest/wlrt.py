@@ -38,8 +38,6 @@ class WlrtResult:
     g: float
     variance: float
     z: float
-    per_time_weights: list[float]
-    per_time_var: list[float]
 
 
 def moment_arrays(risk: RiskArrays) -> tuple[np.ndarray, np.ndarray]:
@@ -78,11 +76,7 @@ def weighted_logrank(spec: WeightSpec, table: Sequence[RiskTableRow]) -> WlrtRes
     risk = rows_to_arrays(table)
     w = weights_from_km_left(spec, risk.km_left)
     mean, var = moment_arrays(risk)
-    g, variance, z = statistic_from_arrays(w, risk, mean, var)
-    return WlrtResult(
-        g=g, variance=variance, z=z,
-        per_time_weights=w.tolist(), per_time_var=var.tolist(),
-    )
+    return WlrtResult(*statistic_from_arrays(w, risk, mean, var))
 
 
 def one_sided_p(z: float) -> float:

@@ -62,8 +62,8 @@ LR = WeightSpec.constant()
 MW = WeightSpec.modest(0.5)
 FH = WeightSpec.fleming_harrington(0.0, 0.5)
 
-EQUAL_SPLIT = ComboSpec(LR, MW, k1=0.5, k2=0.5, alpha=0.025)
-SPLIT_60_40 = ComboSpec(LR, MW, k1=0.6, k2=0.4, alpha=0.025)
+EQUAL_SPLIT = ComboSpec(LR, MW, k1=0.5, alpha=0.025)
+SPLIT_60_40 = ComboSpec(LR, MW, k1=0.6, alpha=0.025)
 
 # Benchmark rejection rates: 10 scenarios x 6 methods at 10,000 replicates.
 BENCHMARK = {

@@ -3,12 +3,13 @@ exit codes, manifests, and byte-level determinism of outputs."""
 
 import argparse
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rmwtest.cli import _build_parser, main, parse_method_grammar
+from rmwtest.cli import _KEYWORDS, _WEIGHT_FAMILIES, _build_parser, main, parse_method_grammar
 from rmwtest.dataset import read_survival_csv
 from rmwtest.errors import GrammarError
 from rmwtest.harness import (
@@ -26,7 +27,8 @@ from rmwtest.simulator import (
 )
 from rmwtest.weights import WeightSpec
 
-EXAMPLE_TRIAL = Path(__file__).resolve().parents[1] / "data" / "example_trial.csv"
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLE_TRIAL = ROOT / "data" / "example_trial.csv"
 POWER_HEADER = "scenario,method,rejection_rate,mc_standard_error,replicates,seed\n"
 
 
@@ -71,6 +73,30 @@ class TestMethodGrammar:
         assert [m.label for m in methods] == [
             "LR", "MW", "rMW(k1=0.5)", "rMW(k1=0.6)", "FH", "MaxCombo",
         ]
+
+    @pytest.mark.parametrize("text", ["rmw", " RMW "])
+    def test_rmw_keyword_is_the_lr_mw_combo(self, text):
+        (m,) = parse_method_grammar(text)
+        assert m.label == text.strip()
+        assert m.combo == parse_method_grammar("max(lr,mw(0.5))")[0].combo
+
+    def test_keywords_match_help_and_readme(self):
+        """Every keyword the grammar expands is named where users look, and
+        no word is named as a keyword that the grammar does not expand."""
+
+        def bare_words(spans):
+            return {w for w in spans if re.fullmatch(r"[a-z][a-z0-9]*", w)} - set(_WEIGHT_FAMILIES)
+
+        subparsers = next(
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for command, dest in (("analyze", "test"), ("power", "methods")):
+            (action,) = [a for a in subparsers.choices[command]._actions if a.dest == dest]
+            assert bare_words(re.findall(r"'([^']*)'", action.help)) == set(_KEYWORDS), command
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Method grammar", 1)[1].split("\n## ", 1)[0]
+        forms = [row.split("|")[1] for row in table.splitlines() if row.startswith("| `")]
+        assert bare_words(re.findall(r"`([^`]*)`", "".join(forms))) == set(_KEYWORDS)
 
     def test_label_preserves_input_text(self):
         text = "max(lr, mw(0.5); k1=0.6)"
@@ -189,6 +215,16 @@ class TestAnalyze:
         assert main(["analyze", "--data", str(path)]) == 4
         assert "error" in capsys.readouterr().err
 
+    def test_fh_with_a_single_event_time_exits_4(self, tmp_path, capsys):
+        # KM is 1 at the only event time, so every fh(0, gamma > 0) weight is 0
+        path = tmp_path / "tied.csv"
+        path.write_text("time,event,arm\n1,1,0\n1,1,0\n1,1,0\n1,1,1\n2,0,1\n2,0,1\n")
+        assert main(["analyze", "--data", str(path), "--test", "lr"]) == 0
+        capsys.readouterr()
+        for test in ("fh(0,0.5)", "max(lr,fh(0,0.5))"):
+            assert main(["analyze", "--data", str(path), "--test", test]) == 4
+            assert "degenerate variance" in capsys.readouterr().err
+
     def test_paper6_is_not_a_single_test(self, trial_csv, capsys):
         assert main(["analyze", "--data", str(trial_csv), "--test", "paper6"]) == 2
 
@@ -248,6 +284,8 @@ class TestSimulate:
         pytest.param(
             scenario_json(arm1={"knots": [], "rates": ["0.0_462"]}), "'arm1.rates'", id="string-rate",
         ),
+        pytest.param(scenario_json(name="a:b"), "scenario name", id="name-with-colon"),
+        pytest.param(scenario_json(name="my trial"), "scenario name", id="name-with-space"),
     ])
     def test_bad_scenario_file_exits_3(self, tmp_path, capsys, text, field):
         spath = tmp_path / "scenario.json"
@@ -258,6 +296,24 @@ class TestSimulate:
         assert f"error: {spath}: " in err
         assert field is None or field in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "-1"), ("--seed", str(2**64)), ("--replicate", "-3"), ("--replicate", str(2**64)),
+    ])
+    def test_seed_or_replicate_outside_64_bits_exits_2(self, tmp_path, capsys, flag, value):
+        """Masking to 64 bits would alias -1 onto 2**64 - 1 and 2**64 onto 0."""
+        out = tmp_path / "trial.csv"
+        assert main(["simulate", "--scenario", "high_ph", flag, value, "--out", str(out)]) == 2
+        assert "[0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_and_replicate_are_valid(self, tmp_path):
+        largest = str(2**64 - 1)
+        out = tmp_path / "trial.csv"
+        assert main([
+            "simulate", "--scenario", "high_ph", "--seed", largest, "--replicate", largest,
+            "--out", str(out),
+        ]) == 0
 
     def test_scenario_file_and_manifest_hash(self, tmp_path):
         h = PiecewiseHazard(knots=(), rates=(0.05,))
@@ -292,6 +348,27 @@ class TestPower:
         manifest = json.loads((tmp_path / "power.csv.manifest.json").read_text())
         assert manifest["outputs"] == [str(out), str(jout)]
         assert manifest["config"]["reps"] == 100
+
+    def test_rmw_runs_its_expansion(self, tmp_path):
+        out = tmp_path / "power.csv"
+        assert main([
+            "power", "--scenario", "high_delayed", "--methods", "rmw",
+            "--methods", "max(lr,mw(0.5))", "--reps", "200", "--out", str(out),
+        ]) == 0
+        rates = read_power_csv(out)["high_delayed"].rates
+        assert list(rates) == ["rmw", "max(lr,mw(0.5))"]
+        assert rates["rmw"] == rates["max(lr,mw(0.5))"]
+
+    def test_scenario_name_round_trips_into_assurance(self, tmp_path, capsys):
+        """Any name a scenario file may carry is a word the prior grammar reads."""
+        spath, out = tmp_path / "s.json", tmp_path / "p.csv"
+        spath.write_text(scenario_json(name="my-trial"))
+        assert main([
+            "power", "--scenario-file", str(spath), "--methods", "lr", "--reps", "100",
+            "--out", str(out),
+        ]) == 0
+        assert main(["assurance", "--in", str(out), "--prior", "my-trial:1.0"]) == 0
+        assert json.loads(capsys.readouterr().out)["prior"] == {"my-trial": 1.0}
 
     def test_worker_count_leaves_bytes_unchanged(self, tmp_path):
         h = PiecewiseHazard(knots=(), rates=(0.08,))
@@ -379,7 +456,8 @@ class TestAssurance:
         assert main([
             "assurance", "--in", str(power_csv), "--prior", "a-0.5",
         ]) == 2
-        assert "offset 0" in capsys.readouterr().err
+        # 'a-0.5' is one word, a scenario name; the ':' after it is missing
+        assert "offset 5: expected ':'" in capsys.readouterr().err
 
     def test_prior_must_sum_to_one(self, power_csv, capsys):
         assert main([

@@ -1,5 +1,6 @@
 """Tests for the bivariate-normal kernel and max-combo inference."""
 
+import dataclasses
 import math
 import warnings
 
@@ -48,10 +49,21 @@ class TestComboSpec:
         assert spec.k1 == spec.k2 == 0.5
         assert spec.alpha == 0.025
 
-    @pytest.mark.parametrize("k1,k2", [(0.4, 0.6), (1.1, -0.1), (0.3, 0.3)])
-    def test_k_ordering_and_sum(self, k1, k2):
+    @pytest.mark.parametrize("k1", [0.4, 1.1, 0.3, math.nan])
+    def test_k_ordering_and_sum(self, k1):
+        """k2 = 1 - k1 makes the shares sum to 1; k1 >= k2 is k1 >= 0.5."""
         with pytest.raises(ValueError):
-            ComboSpec(LR, MW, k1=k1, k2=k2)
+            ComboSpec(LR, MW, k1=k1)
+
+    def test_k2_is_derived_and_alpha_keyword_only(self):
+        fields = dataclasses.fields(ComboSpec)
+        assert [f.name for f in fields] == ["w1", "w2", "k1", "alpha"]
+        assert [f.kw_only for f in fields] == [False, False, False, True]
+        assert ComboSpec(LR, MW, 0.6).k2 == 0.4
+        with pytest.raises(TypeError):
+            ComboSpec(LR, MW, 0.6, 0.4)  # the old (k1, k2) call cannot read 0.4 as alpha
+        with pytest.raises(TypeError):
+            ComboSpec(LR, MW, k1=0.6, k2=0.4)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.01, 1.0])
     def test_alpha_open_interval(self, alpha):
@@ -59,7 +71,7 @@ class TestComboSpec:
             ComboSpec(LR, MW, alpha=alpha)
 
     def test_single_test_encoding(self):
-        spec = ComboSpec(LR, LR, k1=1.0, k2=0.0)
+        spec = ComboSpec(LR, LR, k1=1.0)
         assert spec.k2 == 0.0
 
 
@@ -165,19 +177,19 @@ class TestNullCorrelation:
 
 class TestCriticalValues:
     def test_perfect_correlation_collapses_to_single_test(self):
-        spec = ComboSpec(LR, MW, 0.5, 0.5, alpha=0.025)
+        spec = ComboSpec(LR, MW, 0.5, alpha=0.025)
         c, t1, t2 = critical_values(spec, 1.0)
         assert_allclose(c, ndtri(0.975), atol=1e-9)
         assert t1 == t2 == c
 
     def test_independence_closed_form(self):
         """At rho = 0: 1 - (1 - Q(c))^2 = alpha, i.e. c = ndtri(sqrt(1 - alpha))."""
-        spec = ComboSpec(LR, MW, 0.5, 0.5, alpha=0.025)
+        spec = ComboSpec(LR, MW, 0.5, alpha=0.025)
         c, _, _ = critical_values(spec, 0.0)
         assert_allclose(c, ndtri(math.sqrt(0.975)), atol=1e-9)
 
     def test_single_test_degenerates(self):
-        spec = ComboSpec(LR, LR, k1=1.0, k2=0.0, alpha=0.025)
+        spec = ComboSpec(LR, LR, k1=1.0, alpha=0.025)
         c, t1, t2 = critical_values(spec, 0.4)
         assert c == 1.0
         assert_allclose(t1, ndtri(0.975), atol=1e-12)
@@ -185,29 +197,29 @@ class TestCriticalValues:
 
     def test_solution_satisfies_defining_equation(self):
         for rho in (0.0, 0.3, 0.7, 0.94, 0.99):
-            spec = ComboSpec(LR, MW, 0.5, 0.5, alpha=0.025)
+            spec = ComboSpec(LR, MW, 0.5, alpha=0.025)
             c, _, _ = critical_values(spec, rho)
             assert_allclose(union_tail(c, c, rho), 0.025, atol=1e-9)
-            uneq = ComboSpec(LR, MW, 0.6, 0.4, alpha=0.025)
+            uneq = ComboSpec(LR, MW, 0.6, alpha=0.025)
             _, t1, t2 = critical_values(uneq, rho)
             assert_allclose(union_tail(t1, t2, rho), 0.025, atol=1e-9)
 
     def test_unequal_split_orders_thresholds(self):
         """More alpha on component 1 lowers its threshold below component 2's."""
-        spec = ComboSpec(LR, MW, 0.6, 0.4, alpha=0.025)
+        spec = ComboSpec(LR, MW, 0.6, alpha=0.025)
         _, t1, t2 = critical_values(spec, 0.9)
         assert t1 < t2
 
     def test_decreasing_in_alpha(self):
         rho = 0.9
         cs = [
-            critical_values(ComboSpec(LR, MW, 0.5, 0.5, alpha=a), rho)[0]
+            critical_values(ComboSpec(LR, MW, 0.5, alpha=a), rho)[0]
             for a in (0.005, 0.01, 0.025, 0.05, 0.1)
         ]
         assert all(a > b for a, b in zip(cs, cs[1:]))
 
     def test_decreasing_in_correlation(self):
-        spec = ComboSpec(LR, MW, 0.5, 0.5, alpha=0.025)
+        spec = ComboSpec(LR, MW, 0.5, alpha=0.025)
         cs = [critical_values(spec, rho)[0] for rho in (0.0, 0.25, 0.5, 0.75, 0.95, 1.0)]
         assert all(a > b for a, b in zip(cs, cs[1:]))
 
@@ -216,7 +228,7 @@ class TestCriticalValues:
     def test_nonincreasing_in_correlation(self, k1, rho1, rho2):
         """c and both thresholds do not rise with rho, up to the tolerance of
         the bisection on c (1e-12 on c, so 1e-12 * t / c on a threshold t)."""
-        spec = ComboSpec(LR, MW, k1, 1.0 - k1)
+        spec = ComboSpec(LR, MW, k1)
         lo, hi = sorted((rho1, rho2))
         at_lo, at_hi = critical_values(spec, lo), critical_values(spec, hi)
         for v_lo, v_hi in zip(at_lo, at_hi):
@@ -227,7 +239,7 @@ class TestCriticalValues:
         """The root search brackets [0, 10] without expansion, even with alpha
         near 1/2 and nearly all of it on one component."""
         for k1, alpha in ((0.999, 0.4999), (0.5, 0.4999), (0.999, 1e-6), (1.0 - 1e-9, 0.49)):
-            spec = ComboSpec(LR, MW, k1, 1.0 - k1, alpha=alpha)
+            spec = ComboSpec(LR, MW, k1, alpha=alpha)
             c, t1, t2 = critical_values(spec, rho)
             assert 0.0 < c < 10.0
             assert_allclose(union_tail(t1, t2, rho), alpha, atol=1e-9)
@@ -242,11 +254,11 @@ class TestCriticalValues:
 
 class TestComboPvalue:
     def test_single_test_is_normal_tail(self):
-        spec = ComboSpec(LR, LR, k1=1.0, k2=0.0)
+        spec = ComboSpec(LR, LR, k1=1.0)
         assert_allclose(combo_pvalue(spec, 1.96, 0.0, 0.5), ndtr(-1.96), rtol=1e-12)
 
     def test_equal_split_is_union_at_max(self):
-        spec = ComboSpec(LR, MW, 0.5, 0.5)
+        spec = ComboSpec(LR, MW, 0.5)
         z1, z2, rho = 1.4, 2.1, 0.9
         assert combo_pvalue(spec, z1, z2, rho) == pytest.approx(
             union_tail(2.1, 2.1, rho), abs=1e-14
@@ -254,10 +266,10 @@ class TestComboPvalue:
 
     def test_unequal_p_matches_critical_value_search(self):
         """At level p, the larger scaled statistic sits exactly on its threshold."""
-        spec = ComboSpec(LR, MW, 0.6, 0.4, alpha=0.025)
+        spec = ComboSpec(LR, MW, 0.6, alpha=0.025)
         z1, z2, rho = 2.2, 1.7, 0.95
         p = combo_pvalue(spec, z1, z2, rho)
-        at_level_p = ComboSpec(LR, MW, 0.6, 0.4, alpha=p)
+        at_level_p = ComboSpec(LR, MW, 0.6, alpha=p)
         _, t1, t2 = critical_values(at_level_p, rho)
         assert min(t1 - z1, t2 - z2) == pytest.approx(0.0, abs=1e-6)
 
@@ -266,12 +278,12 @@ class TestComboPvalue:
         up to the p-value's bisection tolerance."""
         rng = np.random.default_rng(5)
         specs = [
-            ComboSpec(LR, MW, 0.5, 0.5),
-            ComboSpec(LR, MW, 0.6, 0.4),
-            ComboSpec(LR, FH, 0.75, 0.25),
-            ComboSpec(LR, LR, 1.0, 0.0),
-            ComboSpec(LR, MW, 0.6, 0.4, alpha=0.1),
-            ComboSpec(LR, MW, 0.95, 0.05, alpha=0.005),
+            ComboSpec(LR, MW, 0.5),
+            ComboSpec(LR, MW, 0.6),
+            ComboSpec(LR, FH, 0.75),
+            ComboSpec(LR, LR, 1.0),
+            ComboSpec(LR, MW, 0.6, alpha=0.1),
+            ComboSpec(LR, MW, 0.95, alpha=0.005),
         ]
         for _ in range(60):
             z1, z2 = rng.normal(1.9, 0.5, size=2)
@@ -285,19 +297,19 @@ class TestComboPvalue:
                         assert p <= spec.alpha + 1e-10
 
     def test_monotone_in_evidence(self):
-        spec = ComboSpec(LR, MW, 0.6, 0.4)
+        spec = ComboSpec(LR, MW, 0.6)
         ps = [combo_pvalue(spec, z, z - 0.4, 0.9) for z in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)]
         assert all(a > b for a, b in zip(ps, ps[1:]))
 
     def test_weak_evidence_tops_out_at_half(self):
-        spec = ComboSpec(LR, MW, 0.6, 0.4)
+        spec = ComboSpec(LR, MW, 0.6)
         assert combo_pvalue(spec, -3.0, -3.0, 0.9) == 0.5
 
 
 class TestRunComboTest:
     def test_fields_cohere_on_simulated_data(self):
         table = build_risk_table(*simulate_trial(BUILTIN_SCENARIOS["high_delayed"], seed=3))
-        spec = ComboSpec(LR, MW, 0.5, 0.5, alpha=0.025)
+        spec = ComboSpec(LR, MW, 0.5, alpha=0.025)
         res = run_combo_test(spec, table)
         assert 0.0 <= res.correlation <= 1.0
         assert res.threshold1 == res.threshold2 == res.c
@@ -310,7 +322,7 @@ class TestRunComboTest:
         from rmwtest.wlrt import one_sided_p, weighted_logrank
 
         table = build_risk_table(*simulate_trial(BUILTIN_SCENARIOS["high_ph"], seed=8))
-        res = run_combo_test(ComboSpec(MW, MW, k1=1.0, k2=0.0), table)
+        res = run_combo_test(ComboSpec(MW, MW, k1=1.0), table)
         ref = weighted_logrank(MW, table)
         assert_allclose(res.z1, ref.z, rtol=1e-14)
         assert_allclose(res.p_value, one_sided_p(ref.z), rtol=1e-12)
@@ -333,10 +345,10 @@ class TestRunComboTest:
         monkeypatch.setattr(
             harness_module, "combo_reject", lambda spec, z1, z2, rho: seen.append(rho) or False
         )
-        plan = harness_module._RunPlan([MethodSpec("rMW", ComboSpec(LR, MW, 0.5, 0.5))])
+        plan = harness_module._RunPlan([MethodSpec("rMW", ComboSpec(LR, MW, 0.5))])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = run_combo_test(ComboSpec(LR, MW, 0.5, 0.5), table)
+            res = run_combo_test(ComboSpec(LR, MW, 0.5), table)
             harness_module._replicate_row(plan, *columns)
         assert res.correlation == 0.0
         assert seen == [0.0]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rmwtest.combo import ComboSpec, combo_pvalue, run_combo_test
 from rmwtest.dataset import build_risk_table
 from rmwtest.errors import DataError
+import rmwtest.harness as harness_module
 from rmwtest.harness import (
     AssuranceSpec,
     MethodSpec,
@@ -75,10 +76,19 @@ class TestEstimatePower:
         with pytest.raises(ValueError):
             estimate_power(MINI, paper_methods(), replicates=100, seed=0, workers=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected_before_any_block(self, monkeypatch, seed):
+        def no_blocks(args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(harness_module, "_count_block", no_blocks)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            estimate_power(MINI, paper_methods(), replicates=100, seed=seed)
+
     def test_duplicate_labels_rejected(self):
         methods = [
-            MethodSpec("same", ComboSpec(LR, LR, k1=1.0, k2=0.0)),
-            MethodSpec("same", ComboSpec(MW, MW, k1=1.0, k2=0.0)),
+            MethodSpec("same", ComboSpec(LR, LR, k1=1.0)),
+            MethodSpec("same", ComboSpec(MW, MW, k1=1.0)),
         ]
         with pytest.raises(ValueError, match="unique"):
             estimate_power(MINI, methods, replicates=100, seed=0)
@@ -98,8 +108,8 @@ class TestEstimatePower:
         """A combo that puts all its alpha on component 1 must make exactly
         the per-replicate decisions of that component alone."""
         methods = [
-            MethodSpec("LR", ComboSpec(LR, LR, k1=1.0, k2=0.0)),
-            MethodSpec("combo-as-lr", ComboSpec(LR, MW, k1=1.0, k2=0.0)),
+            MethodSpec("LR", ComboSpec(LR, LR, k1=1.0)),
+            MethodSpec("combo-as-lr", ComboSpec(LR, MW, k1=1.0)),
         ]
         rows, degenerate = _decision_block(MINI, methods, seed=5, start=0, stop=150)
         assert not degenerate

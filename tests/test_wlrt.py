@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -70,6 +70,7 @@ class TestHypergeometricMoments:
             ref_mean, ref_var = hypergeometric_moments_oracle(n, n1, d)
             assert_allclose(mean, ref_mean, atol=1e-13)
             assert_allclose(var, ref_var, atol=1e-13)
+            assert 0.0 <= var <= n / 4.0 + 1.0
 
 
 class TestWeightedLogrank:
@@ -121,14 +122,6 @@ class TestWeightedLogrank:
             assert_allclose(res.variance, variance, atol=1e-12)
             assert_allclose(res.z, z, atol=1e-12)
 
-    def test_result_carries_per_time_arrays(self):
-        table = build_risk_table(*TWO_SUBJECTS)
-        res = weighted_logrank(WeightSpec.constant(), table)
-        assert res.per_time_weights == [1.0, 1.0]
-        assert len(res.per_time_var) == 2
-        for v, row in zip(res.per_time_var, table):
-            assert 0.0 <= v <= row.n_total / 4.0 + 1.0
-
     def test_degenerate_variance_raises(self):
         """Every subject dying at the same instant leaves no variance."""
         with pytest.raises(NumericalError, match="degenerate variance"):
@@ -151,6 +144,10 @@ def _z_bits(spec, time, event, arm):
 SPECS = [WeightSpec.constant(), WeightSpec.modest(0.5), WeightSpec.fleming_harrington(0, 0.5)]
 
 
+def _ranks(time):
+    return np.unique(time, return_inverse=True)[1]
+
+
 class TestInvariance:
     """Properties of z on the random tied trials test_dataset draws."""
 
@@ -167,6 +164,15 @@ class TestInvariance:
         scaled = _z_bits(spec, time * 2.0**power, event, arm)
         assert scaled == _z_bits(spec, time, event, arm)
 
+    @pytest.mark.parametrize("spec", SPECS, ids=["lr", "mw", "fh"])
+    @given(records=trials(), c=st.floats(1e-3, 1e3))
+    def test_any_positive_time_scale_leaves_z_bit_identical(self, spec, records, c):
+        """z reads times only through their order and ties, so any c > 0 that
+        keeps both (rounding can merge two times a few ulp apart) keeps z."""
+        time, event, arm = columns(records)
+        assume(np.array_equal(_ranks(time * c), _ranks(time)))
+        assert _z_bits(spec, time * c, event, arm) == _z_bits(spec, time, event, arm)
+
     @given(records=trials())
     def test_arm_swap_negates_lr_z(self, records):
         """Swapping labels keeps the variance bit for bit and negates z."""
@@ -179,6 +185,50 @@ class TestInvariance:
         assert swapped.variance.hex() == base.variance.hex()
         # abs covers a z that cancels to about zero
         assert swapped.z == pytest.approx(-base.z, rel=1e-12, abs=1e-12)
+
+
+class TestEdgeCases:
+    """Risk tables at the edges of the statistic's domain, checked through z."""
+
+    def test_all_events_tied_at_one_time(self):
+        """One event time: n=6, n1=3, d=4, d1=1, so g = 1 - 2 and var = 0.4.
+        KM is 1 there, so mw weighs like lr and fh(0, 0.5) weighs 0."""
+        time, event, arm = [1.0] * 4 + [2.0] * 2, [1] * 4 + [0] * 2, [0, 0, 0, 1, 1, 1]
+        table = build_risk_table(time, event, arm)
+        for spec in SPECS[:2]:
+            res = weighted_logrank(spec, table)
+            assert res.g == -1.0
+            assert res.variance == pytest.approx(0.4, rel=1e-15)
+            assert res.z == pytest.approx(1.0 / math.sqrt(0.4), rel=1e-15)
+        with pytest.raises(NumericalError, match="degenerate variance"):
+            weighted_logrank(SPECS[2], table)
+
+    @pytest.mark.parametrize("last", [
+        pytest.param(([9.0], [1], [1]), id="risk-set-of-one"),
+        pytest.param(([9.0, 9.0], [1, 1], [0, 1]), id="all-at-risk-die"),
+    ])
+    def test_km_falls_to_zero_at_the_last_event(self, last):
+        """The last event time empties the risk set, so KM falls to 0 after it
+        while km_left stays positive: fh weights with rho > 0 stay finite, and
+        that time adds nothing to g or the variance (its null variance is 0)."""
+        head = ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1, 1, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1])
+        time, event, arm = (h + l for h, l in zip(head, last))
+        risk = risk_arrays(time, event, arm)
+        assert risk.d_total[-1] == risk.n_total[-1]
+        assert risk.km_left.min() > 0.0
+        assert moment_arrays(risk)[1][-1] == 0.0
+        censored_last = (time, head[1] + [0] * len(last[0]), arm)
+        for spec, oracle_weight in [
+            (WeightSpec.constant(), constant_weight),
+            (WeightSpec.modest(0.5), modest_weight(0.5)),
+            (WeightSpec.fleming_harrington(0, 0.5), fleming_harrington_weight(0, 0.5)),
+            (WeightSpec.fleming_harrington(1, 1), fleming_harrington_weight(1, 1)),
+        ]:
+            assert np.isfinite(weights_from_km_left(spec, risk.km_left)).all()
+            res = weighted_logrank(spec, build_risk_table(time, event, arm))
+            _, _, z = weighted_logrank_oracle(time, event, arm, oracle_weight)
+            assert_allclose(res.z, z, atol=1e-12)
+            assert res.z == weighted_logrank(spec, build_risk_table(*censored_last)).z
 
 
 class TestCalibration:
