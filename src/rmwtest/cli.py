@@ -349,6 +349,10 @@ def _cmd_power(ns: argparse.Namespace) -> int:
         scenarios.append(read_scenario(path))
     if not scenarios:
         raise GrammarError("no scenarios given; use --scenario or --scenario-file")
+    names = [s.name for s in scenarios]
+    for name in names:
+        if names.count(name) > 1:
+            raise GrammarError(f"duplicate scenario name {name!r}; a power run needs unique names")
     workers = _resolve_workers(ns.workers)
     ocs = [
         estimate_power(s, methods, ns.reps, ns.seed, workers=workers)

@@ -15,13 +15,12 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import bisect
 from scipy.special import ndtr, ndtri
 
 from .dataset import RiskTableRow, rows_to_arrays
 from .errors import NumericalError
 from .weights import WeightSpec, weights_from_km_left
-from .wlrt import _acc_sum, moment_arrays, statistic_from_arrays
+from .wlrt import _acc_sum, moment_arrays, one_sided_p, statistic_from_arrays
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TAIL_Z = 9.0     # |z| beyond which the conditional tail factor is 0 or 1 to ~1e-19
@@ -35,7 +34,8 @@ class ComboSpec:
 
     ``k1`` of the one-sided level ``alpha`` goes to the w1 statistic and
     ``k2 = 1 - k1`` to the w2 statistic; k1 = 1 degenerates to the w1 test
-    alone.
+    alone. Each positive share ``k_i * alpha`` must exceed 2**-54 (about
+    5.6e-17), so that its normal quantile ndtri(1 - k_i * alpha) is finite.
     """
 
     w1: WeightSpec
@@ -48,6 +48,12 @@ class ComboSpec:
             raise ValueError(f"require 0.5 <= k1 <= 1, got k1={self.k1}")
         if not 0.0 < self.alpha < 0.5:
             raise ValueError(f"require 0 < alpha < 0.5, got {self.alpha}")
+        for share in (self.k1 * self.alpha, self.k2 * self.alpha):
+            if share > 0.0 and not 1.0 - share < 1.0:
+                raise ValueError(
+                    f"alpha={self.alpha} with k1={self.k1} gives a share of {share:g}, "
+                    "too small for a finite normal quantile (1 - share rounds to 1)"
+                )
 
     @property
     def k2(self) -> float:
@@ -69,18 +75,7 @@ class ComboResult:
     p_value: float
 
 
-def _q(x: float) -> float:
-    """Standard normal upper tail P(Z > x)."""
-    return float(ndtr(-x))
-
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = leggauss(n)
-    return _GL_CACHE[n]
+_GL_X, _GL_W = leggauss(16)
 
 
 def _middle_integral(lo: float, hi: float, b: float, rho: float, s: float) -> float:
@@ -92,7 +87,6 @@ def _middle_integral(lo: float, hi: float, b: float, rho: float, s: float) -> fl
     """
     if hi <= lo:
         return 0.0
-    gx, gw = _gl_rule(16)
     width = min(0.5, 0.5 * s / abs(rho))
     n_panels = max(4, int(math.ceil((hi - lo) / width)))
     previous = None
@@ -100,9 +94,9 @@ def _middle_integral(lo: float, hi: float, b: float, rho: float, s: float) -> fl
         edges = np.linspace(lo, hi, n_panels + 1)
         centers = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (hi - lo) / n_panels
-        x = (centers[:, None] + half * gx[None, :]).ravel()
+        x = (centers[:, None] + half * _GL_X[None, :]).ravel()
         f = np.exp(-0.5 * x * x) / _SQRT_2PI * ndtr(-(b - rho * x) / s)
-        value = half * float(np.dot(f, np.tile(gw, n_panels)))
+        value = half * float(np.dot(f, np.tile(_GL_W, n_panels)))
         if previous is not None and abs(value - previous) <= _QUAD_TOL * max(1.0, abs(value)):
             return value
         previous = value
@@ -124,16 +118,16 @@ def bvn_upper(a: float, b: float, rho: float) -> float:
     if a == -math.inf and b == -math.inf:
         return 1.0
     if a == -math.inf:
-        return _q(b)
+        return one_sided_p(b)
     if b == -math.inf:
-        return _q(a)
+        return one_sided_p(a)
     if rho == 1.0:
-        return _q(max(a, b))
+        return one_sided_p(max(a, b))
     if rho == -1.0:
         # Y = -X: the event is a < X < -b
         return max(0.0, float(ndtr(-b) - ndtr(a)))
     if rho == 0.0:
-        return _q(a) * _q(b)
+        return one_sided_p(a) * one_sided_p(b)
 
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
     edge_lo = (b - _TAIL_Z * s) / rho
@@ -146,16 +140,16 @@ def bvn_upper(a: float, b: float, rho: float) -> float:
 
     if rho > 0.0:
         # conditional tail ~1 above the band
-        value = middle + _q(max(a, x2))
+        value = middle + one_sided_p(max(a, x2))
     else:
         # conditional tail ~1 below the band
-        value = (_q(a) - _q(max(a, x1))) + middle
+        value = (one_sided_p(a) - one_sided_p(max(a, x1))) + middle
     return min(1.0, max(0.0, value))
 
 
 def union_tail(t1: float, t2: float, rho: float) -> float:
     """P(Z1 > t1 or Z2 > t2) under the standard bivariate normal null."""
-    return min(1.0, max(0.0, _q(t1) + _q(t2) - bvn_upper(t1, t2, rho)))
+    return min(1.0, max(0.0, one_sided_p(t1) + one_sided_p(t2) - bvn_upper(t1, t2, rho)))
 
 
 def correlation_from_arrays(
@@ -209,6 +203,19 @@ def _ray(spec: ComboSpec, alpha: float) -> tuple[float, float]:
     return float(ndtri(1.0 - spec.k1 * alpha)), float(ndtri(1.0 - spec.k2 * alpha))
 
 
+def _bisect(holds, lo: float, hi: float, width: float) -> tuple[float, float]:
+    """Halve [lo, hi], where ``holds`` is false at lo and true at hi, until it
+    is at most ``width`` wide; return (the final hi, the last midpoint)."""
+    mid = hi
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, mid
+
+
 def critical_values(spec: ComboSpec, correlation: float) -> tuple[float, float, float]:
     """(c, threshold1, threshold2) for the max-combo test at level ``spec.alpha``.
 
@@ -217,8 +224,10 @@ def critical_values(spec: ComboSpec, correlation: float) -> tuple[float, float, 
     the per-component quantiles ndtri(1 - k_i * alpha). With k1 = 1 the
     test degenerates: threshold1 = ndtri(1 - alpha), threshold2 = +inf.
 
-    The root always lies in [0, 10]: at 0 the union tail is at least 1/2,
-    and at 10 the union bound gives P(Z_i > 10 q_i) < k_i * alpha.
+    c is the last midpoint of a bisection of [0, 10] to width 1e-12. At 0 the
+    union tail is at least 1/2 > alpha; at 10 it is below alpha, since
+    ComboSpec keeps each quantile q_i finite, so P(Z_i > 10 q_i) < k_i * alpha
+    (on an equal split, at most 2 P(Z > 10) = 1.5e-23 in all).
     """
     if math.isnan(correlation) or not 0.0 <= correlation <= 1.0:
         raise ValueError(f"correlation must lie in [0, 1], got {correlation}")
@@ -226,17 +235,14 @@ def critical_values(spec: ComboSpec, correlation: float) -> tuple[float, float, 
     if spec.k1 == 1.0:
         return 1.0, float(ndtri(1.0 - alpha)), math.inf
     q1, q2 = _ray(spec, alpha)
-    c = float(bisect(
-        lambda t: union_tail(t * q1, t * q2, correlation) - alpha,
-        0.0, 10.0, xtol=1e-12, maxiter=200,
-    ))
+    _, c = _bisect(lambda t: union_tail(t * q1, t * q2, correlation) < alpha, 0.0, 10.0, 1e-12)
     return c, c * q1, c * q2
 
 
 def _observed_tail(spec: ComboSpec, z1: float, z2: float, rho: float, alpha: float) -> float:
     """Union tail at the observed statistics scaled onto the level-alpha threshold ray."""
     if spec.k1 == 1.0:
-        return _q(z1)
+        return one_sided_p(z1)
     q1, q2 = _ray(spec, alpha)
     m = max(z1 / q1, z2 / q2)
     return union_tail(m * q1, m * q2, rho)
@@ -269,23 +275,14 @@ def combo_pvalue(spec: ComboSpec, z1: float, z2: float, correlation: float) -> f
     if math.isnan(correlation) or not 0.0 <= correlation <= 1.0:
         raise ValueError(f"correlation must lie in [0, 1], got {correlation}")
     if spec.k1 in (1.0, 0.5):
-        return _clamp_p(_observed_tail(spec, z1, z2, correlation, spec.alpha))
+        p = _observed_tail(spec, z1, z2, correlation, spec.alpha)
+        return min(max(p, 1e-300), 1.0 - 1e-16)
     lo, hi = 1e-12, 0.5
     if _rejects(spec, z1, z2, correlation, lo):
         return lo
     if not _rejects(spec, z1, z2, correlation, hi):
         return hi
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if _rejects(spec, z1, z2, correlation, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _clamp_p(p: float) -> float:
-    return min(max(p, 1e-300), 1.0 - 1e-16)
+    return _bisect(lambda a: _rejects(spec, z1, z2, correlation, a), lo, hi, 1e-10)[0]
 
 
 def run_combo_test(spec: ComboSpec, table: Sequence[RiskTableRow]) -> ComboResult:

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -147,19 +147,17 @@ def simulate_trial(
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "name": s.name,
-        "n_total": s.n_total,
-        "study_length": s.study_length,
-        "recruit_duration": s.recruit_duration,
-        "arm0": {"knots": list(s.arm0.knots), "rates": list(s.arm0.rates)},
-        "arm1": {"knots": list(s.arm1.knots), "rates": list(s.arm1.rates)},
-    }
+    """The scenario as nested dicts; JSON writes its knot and rate tuples as arrays."""
+    return asdict(s)
+
+
+# the Python types that stand for a JSON type; scenario_to_dict keeps arrays as tuples
+_ACCEPTED = {float: (int, float), list: (list, tuple)}
 
 
 def _checked(value, kind: type, field: str):
     """``value`` if it is a JSON ``kind``; a bool is not a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTED.get(kind, kind)):
         name = {float: "number", int: "integer", str: "string", list: "array", dict: "object"}[kind]
         raise DataError(f"field {field!r} must be a JSON {name}, got {value!r}")
     return value

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ndtr
 
 from .dataset import RiskArrays, RiskTableRow, rows_to_arrays
 from .errors import NumericalError
@@ -81,6 +82,4 @@ def weighted_logrank(spec: WeightSpec, table: Sequence[RiskTableRow]) -> WlrtRes
 
 def one_sided_p(z: float) -> float:
     """Upper-tail normal p-value for a standardized statistic."""
-    from scipy.special import ndtr
-
     return float(ndtr(-z))

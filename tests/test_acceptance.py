@@ -9,8 +9,8 @@ full anchor triple is self-consistent at correlation 0.976 and pins the
 correct values at 0.97. Everything else is green.
 
 The full Table-reproduction run (10 scenarios x 6 methods x 10,000
-replicates) takes a minute or two on one core; the quick 2,000-replicate
-mode and all other criteria finish in seconds.
+replicates) uses up to two worker processes and takes a minute or two; the
+quick 2,000-replicate mode and all other criteria finish in seconds.
 """
 
 import itertools
@@ -91,10 +91,14 @@ def _announce(text: str) -> None:
 
 @pytest.fixture(scope="session")
 def full_grid():
-    """Operating characteristics of all six methods on all ten scenarios."""
+    """Operating characteristics of all six methods on all ten scenarios.
+
+    Criterion 8 holds the counts equal for any worker count, so two workers
+    only save time."""
     methods = paper_methods()
+    workers = min(2, os.cpu_count() or 1)
     return {
-        name: estimate_power(BUILTIN_SCENARIOS[name], methods, FULL_REPS, FULL_SEED)
+        name: estimate_power(BUILTIN_SCENARIOS[name], methods, FULL_REPS, FULL_SEED, workers=workers)
         for name in BENCHMARK
     }
 

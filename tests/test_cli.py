@@ -4,6 +4,8 @@ exit codes, manifests, and byte-level determinism of outputs."""
 import argparse
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +236,37 @@ class TestAnalyze:
         assert main(["analyze", "--data", str(EXAMPLE_TRIAL), "--test", test]) == 2
         assert "offset 3: parameter 1 of fh is 'rho', got 'gamma'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("test, alpha", [
+        ("rmw", "1e-25"),
+        ("max(lr,mw(0.5);k1=0.6)", "1e-20"),
+        ("max(lr,mw(0.5);k1=0.9999999999999999)", "0.025"),
+        ("lr", "1e-20"),
+    ])
+    def test_alpha_share_without_a_finite_quantile_exits_2(self, capsys, test, alpha):
+        argv = ["analyze", "--data", str(EXAMPLE_TRIAL), "--test", test, "--alpha", alpha]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"alpha={float(alpha)}" in err and "k1=" in err
+
+    @pytest.mark.parametrize("test", ["rmw", "max(lr,mw(0.5);k1=0.6)", "lr"])
+    def test_tiny_alpha_gives_finite_thresholds(self, capsys, test):
+        argv = ["analyze", "--data", str(EXAMPLE_TRIAL), "--test", test, "--alpha", "1e-10"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)  # Infinity is not JSON
+        assert payload["threshold1"] > 6.0 and payload["reject"] is False
+        assert payload["threshold2"] is None if test == "lr" else payload["threshold2"] > 6.0
+
+    def test_runtime_needs_no_root_finder_module(self):
+        code = (
+            "import sys; from rmwtest import cli; "
+            f"assert cli.main(['analyze', '--data', {str(EXAMPLE_TRIAL)!r}, "
+            "'--test', 'max(lr,mw(0.5);k1=0.6)']) == 0; "
+            "print('scipy.optimize' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 class TestSimulate:
     def test_requires_exactly_one_source(self, tmp_path, capsys):
@@ -399,6 +432,20 @@ class TestPower:
     def test_no_scenarios_exits_2(self, tmp_path, capsys):
         assert main(["power", "--methods", "lr", "--out", str(tmp_path / "p.csv")]) == 2
         assert "no scenarios" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sources", [
+        ["--scenario", "high_ph,high_ph"],
+        ["--scenario-file", "{spath}", "--scenario-file", "{spath}"],
+        ["--scenario", "high_ph", "--scenario-file", "{spath}"],
+    ])
+    def test_duplicate_scenario_names_exit_2(self, tmp_path, capsys, sources):
+        """Two rows for one scenario name would make the power CSV unreadable."""
+        spath, out = tmp_path / "s.json", tmp_path / "p.csv"
+        spath.write_text(scenario_json())  # named high_ph
+        argv = [arg.format(spath=spath) for arg in sources]
+        assert main(["power", *argv, "--methods", "lr", "--reps", "100", "--out", str(out)]) == 2
+        assert "duplicate scenario name 'high_ph'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_method_labels_exit_2(self, tmp_path, capsys):
         assert main([

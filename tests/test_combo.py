@@ -74,6 +74,22 @@ class TestComboSpec:
         spec = ComboSpec(LR, LR, k1=1.0)
         assert spec.k2 == 0.0
 
+    @pytest.mark.parametrize(
+        "k1, alpha",
+        [(0.5, 1e-25), (0.6, 1e-20), (0.9999999999999999, 0.025), (1.0, 1e-20)],
+    )
+    def test_share_too_small_for_a_finite_quantile(self, k1, alpha):
+        """A share k_i * alpha with 1 - share == 1 would give an infinite quantile."""
+        with pytest.raises(ValueError, match=f"alpha={alpha} with k1={k1}"):
+            ComboSpec(LR, MW, k1, alpha=alpha)
+
+    @pytest.mark.parametrize("k1", [0.5, 0.6, 1.0])
+    def test_smallest_shares_keep_finite_thresholds(self, k1):
+        """Shares of 2.3e-16, a few times the smallest accepted, solve in [0, 10]."""
+        c, t1, t2 = critical_values(ComboSpec(LR, MW, k1, alpha=2.3e-16 / k1), 0.9)
+        assert 0.0 < c < 10.0 and math.isfinite(t1)
+        assert math.isfinite(t2) or k1 == 1.0
+
 
 # the bounds hold exactly; the kernel misses them only by rounding (~1e-16)
 KERNEL_SLACK = 1e-12
@@ -244,6 +260,20 @@ class TestCriticalValues:
             assert 0.0 < c < 10.0
             assert_allclose(union_tail(t1, t2, rho), alpha, atol=1e-9)
 
+    @pytest.mark.parametrize("k1", [0.5, 0.6, 0.75, 0.999])
+    def test_bits_match_scipy_bisect(self, k1):
+        """c is bit for bit the root scipy.optimize.bisect finds on [0, 10]."""
+        from scipy.optimize import bisect
+
+        for alpha in (1e-10, 0.005, 0.025, 0.1, 0.4999):
+            spec = ComboSpec(LR, MW, k1, alpha=alpha)
+            q1, q2 = combo_module._ray(spec, alpha)
+            for rho in (0.0, 0.3, 0.9, 0.97, 1.0):
+                want = bisect(
+                    lambda t: union_tail(t * q1, t * q2, rho) - alpha, 0.0, 10.0, xtol=1e-12
+                )
+                assert critical_values(spec, rho)[0] == want
+
     def test_invalid_correlation_rejected(self):
         spec = ComboSpec(LR, MW)
         with pytest.raises(ValueError):
@@ -300,6 +330,18 @@ class TestComboPvalue:
         spec = ComboSpec(LR, MW, 0.6)
         ps = [combo_pvalue(spec, z, z - 0.4, 0.9) for z in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)]
         assert all(a > b for a, b in zip(ps, ps[1:]))
+
+    @pytest.mark.parametrize("k1, z1, z2, rho, p", [
+        (0.6, 2.2, 1.7, 0.95, 0.01594030077200337),
+        (0.6, 2.187329446956057, 2.369893433678865, 0.9767717774555686, 0.013679892349563877),
+        (0.75, 1.2, 2.6, 0.5, 0.017499231908969737),
+        (0.95, 3.1, 0.4, 0.0, 0.001018481737535032),
+        (0.6, 1.9, 1.9, 1.0, 0.028716559872042455),
+        (0.55, -0.3, 1.1, 0.8, 0.2049725266412213),
+    ])
+    def test_unequal_split_bits_are_pinned(self, k1, z1, z2, rho, p):
+        """Unequal-split p-values keep every bit of the bisection over the level."""
+        assert combo_pvalue(ComboSpec(LR, MW, k1), z1, z2, rho) == p
 
     def test_weak_evidence_tops_out_at_half(self):
         spec = ComboSpec(LR, MW, 0.6)
