@@ -2,9 +2,10 @@
 Monte Carlo power harness, or summarize assurance from a power table.
 
 Every subcommand is a thin composition of library calls. File outputs are
-written atomically and accompanied by a ``<output>.manifest.json`` with
-the config echo, library versions, and a timestamp; result files
-themselves contain no timestamps so identical runs are byte-identical.
+written atomically, with the mode ``open(path, "w")`` would give, and
+accompanied by a ``<output>.manifest.json`` with the config echo, library
+versions, and a timestamp; result files themselves contain no timestamps
+so identical runs are byte-identical.
 
 Exit codes: 0 success, 2 usage/grammar, 3 data error, 4 numerical failure.
 """
@@ -12,11 +13,13 @@ Exit codes: 0 success, 2 usage/grammar, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import platform
 import re
+import stat
 import sys
 import tempfile
 from dataclasses import asdict, replace
@@ -44,6 +47,7 @@ from .harness import (
 )
 from .simulator import (
     BUILTIN_SCENARIOS,
+    Scenario,
     get_scenario,
     read_scenario,
     scenario_hash,
@@ -235,31 +239,51 @@ def _parse_prior(text: str) -> AssuranceSpec:
 # output plumbing
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _directory(path: str) -> str:
+    """The directory an output goes in; a missing one is a DataError naming ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rmwtest-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    if not os.path.isdir(directory):
+        raise DataError(f"{path}: no such directory for the output")
+    return directory
 
 
-def _write_file_atomic(path: str, write_fn) -> None:
-    """Run a path-taking writer against a temp file, then move into place."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rmwtest-")
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Yield a temp file beside ``path``, moved onto ``path`` when the block ends
+    without an error and removed when it does not.
+
+    The file gets the mode ``open(path, "w")`` would leave: that of the file
+    it replaces, or 0o666 less the umask for a new one.
+    """
+    fd, tmp = tempfile.mkstemp(dir=_directory(path), prefix=".rmwtest-")
     os.close(fd)
     try:
-        write_fn(tmp)
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)  # the one way to read it; set it straight back
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_atomic(path: str, text: str) -> None:
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_file_atomic(writers: dict) -> None:
+    """Run each path-taking writer against a temp file beside its path; move
+    the files into place only once every writer has finished."""
+    with contextlib.ExitStack() as stack:
+        for path, write in writers.items():
+            write(stack.enter_context(_replacing(path)))
 
 
 def _write_manifest(out_path: str, ns: argparse.Namespace, outputs: list[str], extra: dict | None = None) -> None:
@@ -311,16 +335,32 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_scenario(ns: argparse.Namespace):
-    if ns.scenario_file:
-        return read_scenario(ns.scenario_file)
-    return get_scenario(ns.scenario)
+def _scenarios(ns: argparse.Namespace) -> list[Scenario]:
+    """Every ``--scenario`` (``all`` or names separated by ``,``), then every ``--scenario-file``."""
+    scenarios = []
+    for text in ns.scenario or []:
+        tokens = _Tokens(text)
+        names = []
+        while not names or tokens.accept(","):
+            names.append(tokens.word("a scenario name")[0])
+        tokens.expect("", "end of input")
+        scenarios.extend(map(get_scenario, BUILTIN_SCENARIOS if names == ["all"] else names))
+    scenarios.extend(map(read_scenario, ns.scenario_file or []))
+    if not scenarios:
+        raise GrammarError("no scenarios given; use --scenario or --scenario-file")
+    names = [s.name for s in scenarios]
+    for name in names:
+        if names.count(name) > 1:
+            raise GrammarError(f"duplicate scenario name {name!r}; a run needs unique names")
+    return scenarios
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
-    scenario = _resolve_scenario(ns)
+    scenario, *more = _scenarios(ns)
+    if more:
+        raise GrammarError(f"simulate needs exactly one scenario, got {1 + len(more)}")
     columns = simulate_trial(scenario, ns.seed, ns.replicate)
-    _write_file_atomic(ns.out, lambda p: write_survival_csv(p, *columns))
+    _write_file_atomic({ns.out: lambda p: write_survival_csv(p, *columns)})
     _write_manifest(
         ns.out, ns, [ns.out],
         {"scenario_hash": {scenario.name: scenario_hash(scenario)}},
@@ -339,31 +379,20 @@ def _resolve_workers(value) -> int:
 
 def _cmd_power(ns: argparse.Namespace) -> int:
     methods = [m for text in ns.methods or ["paper6"] for m in parse_method_grammar(text)]
-    scenarios = []
-    if ns.scenario:
-        names = list(BUILTIN_SCENARIOS) if ns.scenario == "all" else [
-            s.strip() for s in ns.scenario.split(",") if s.strip()
-        ]
-        scenarios.extend(get_scenario(name) for name in names)
-    for path in ns.scenario_file or []:
-        scenarios.append(read_scenario(path))
-    if not scenarios:
-        raise GrammarError("no scenarios given; use --scenario or --scenario-file")
-    names = [s.name for s in scenarios]
-    for name in names:
-        if names.count(name) > 1:
-            raise GrammarError(f"duplicate scenario name {name!r}; a power run needs unique names")
+    scenarios = _scenarios(ns)
+    outputs = [path for path in (ns.out, ns.json) if path]
+    for path in outputs:  # a missing directory fails now, not after the run
+        _directory(path)
     workers = _resolve_workers(ns.workers)
     ocs = [
         estimate_power(s, methods, ns.reps, ns.seed, workers=workers)
         for s in scenarios
     ]
     hashes = {s.name: scenario_hash(s) for s in scenarios}
-    _write_file_atomic(ns.out, lambda p: write_power_csv(p, ocs))
-    outputs = [ns.out]
+    writers = {ns.out: lambda p: write_power_csv(p, ocs)}
     if ns.json:
-        _write_file_atomic(ns.json, lambda p: write_power_json(p, ocs, methods, hashes))
-        outputs.append(ns.json)
+        writers[ns.json] = lambda p: write_power_json(p, ocs, methods, hashes)
+    _write_file_atomic(writers)
     _write_manifest(
         ns.out, ns, outputs,
         {"scenario_hash": hashes, "methods": [method_to_dict(m) for m in methods]},
@@ -420,8 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="write one simulated trial dataset as CSV")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--scenario", help=f"built-in name, one of: {', '.join(BUILTIN_SCENARIOS)}")
-    group.add_argument("--scenario-file", help="scenario JSON file")
+    group.add_argument("--scenario", action="append", help=f"built-in name, one of: {', '.join(BUILTIN_SCENARIOS)}")
+    group.add_argument("--scenario-file", action="append", help="scenario JSON file")
     p.add_argument("--seed", type=_option(int), default=0, help="master seed (default 0)")
     p.add_argument("--replicate", type=_option(int), default=0, help="replicate index (default 0)")
     p.add_argument("--out", required=True, help="output CSV path")
@@ -429,8 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="Monte Carlo rejection rates per scenario and method")
     p.add_argument(
-        "--scenario", default=None,
-        help="'all', one built-in name, or a comma-separated list of names",
+        "--scenario", action="append", default=None,
+        help="'all' or comma-separated built-in names (repeatable)",
     )
     p.add_argument("--scenario-file", action="append", default=None, help="additional scenario JSON (repeatable)")
     p.add_argument(

@@ -104,13 +104,13 @@ class _RunPlan:
     """
 
     def __init__(self, methods: Sequence[MethodSpec]):
+        self.methods = methods = tuple(methods)
         labels = [m.label for m in methods]
         for label in labels:
             if labels.count(label) > 1:
                 raise ValueError(
                     f"duplicate method label {label!r}; method labels must be unique within a run"
                 )
-        self.methods = tuple(methods)
         self.specs: list[WeightSpec] = []
         index: dict[WeightSpec, int] = {}
 
@@ -153,7 +153,7 @@ def _replicate_row(plan: _RunPlan, time, event, arm) -> np.ndarray:
 
 def _decision_block(
     scenario: Scenario,
-    methods: Sequence[MethodSpec],
+    plan: _RunPlan,
     seed: int,
     start: int,
     stop: int,
@@ -163,8 +163,7 @@ def _decision_block(
     A replicate whose dataset cannot support the tests (no events, one arm
     absent, zero variance) contributes a row of non-rejections.
     """
-    plan = _RunPlan(methods)
-    rows = np.zeros((stop - start, len(methods)), dtype=bool)
+    rows = np.zeros((stop - start, len(plan.methods)), dtype=bool)
     degenerate: list[tuple[int, str]] = []
     for rep in range(start, stop):
         time, event, arm = _trial_arrays(scenario, seed, rep)
@@ -198,13 +197,12 @@ def estimate_power(
         raise ValueError(f"replicates must be >= 100, got {replicates}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    methods = tuple(methods)
-    _RunPlan(methods)  # validate labels before any work
+    plan = _RunPlan(methods)  # checks the labels before any work
     _stream_key(seed, replicates - 1)  # and the seed and every replicate index
     # blocks of 100-199 replicates whatever the worker count, so the pool
     # only changes where the blocks run
     edges = np.linspace(0, replicates, replicates // 100 + 1).astype(int)
-    tasks = [(scenario, methods, seed, int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+    tasks = [(scenario, plan, seed, int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
     if workers == 1:
         blocks = list(map(_count_block, tasks))
     else:
@@ -218,7 +216,7 @@ def estimate_power(
             "replicate %d of scenario %s degenerate (%s); counted as non-rejection",
             rep, scenario.name, msg,
         )
-    rates = {m.label: int(c) / replicates for m, c in zip(methods, counts)}
+    rates = {m.label: int(c) / replicates for m, c in zip(plan.methods, counts)}
     return OperatingCharacteristics(
         scenario=scenario.name,
         replicates=replicates,

@@ -46,21 +46,18 @@ class PiecewiseHazard:
             raise ValueError(f"knots must be strictly increasing, got {knots}")
         if any(not math.isfinite(r) or r <= 0 for r in rates):
             raise ValueError(f"rates must be finite and > 0, got {rates}")
-
-    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(segment starts, cumulative hazard at starts, rates) as arrays."""
-        starts = np.concatenate(([0.0], np.asarray(self.knots, dtype=np.float64)))
-        rates = np.asarray(self.rates, dtype=np.float64)
-        widths = np.diff(starts)
-        cum = np.concatenate(([0.0], np.cumsum(widths * rates[:-1])))
-        return starts, cum, rates
+        # the segment table: starts, cumulative hazard at each start, rates
+        starts = np.concatenate(([0.0], np.asarray(knots, dtype=np.float64)))
+        rate_array = np.asarray(rates, dtype=np.float64)
+        cum = np.concatenate(([0.0], np.cumsum(np.diff(starts) * rate_array[:-1])))
+        object.__setattr__(self, "_segments", (starts, cum, rate_array))
 
     def cumulative_hazard(self, t):
         """Integrated hazard at time(s) t >= 0."""
         t_arr = np.asarray(t, dtype=np.float64)
         if np.any(t_arr < 0):
             raise ValueError("time must be >= 0")
-        starts, cum, rates = self._grid()
+        starts, cum, rates = self._segments
         seg = np.searchsorted(starts, t_arr, side="right") - 1
         out = cum[seg] + (t_arr - starts[seg]) * rates[seg]
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
@@ -70,7 +67,7 @@ class PiecewiseHazard:
         y_arr = np.asarray(y, dtype=np.float64)
         if np.any(y_arr < 0):
             raise ValueError("cumulative hazard must be >= 0")
-        starts, cum, rates = self._grid()
+        starts, cum, rates = self._segments
         seg = np.searchsorted(cum, y_arr, side="right") - 1
         out = starts[seg] + (y_arr - cum[seg]) / rates[seg]
         return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
@@ -146,12 +143,7 @@ def simulate_trial(
     return time, event.astype(np.int64), arm
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    """The scenario as nested dicts; JSON writes its knot and rate tuples as arrays."""
-    return asdict(s)
-
-
-# the Python types that stand for a JSON type; scenario_to_dict keeps arrays as tuples
+# the Python types that stand for a JSON type; asdict keeps arrays as tuples
 _ACCEPTED = {float: (int, float), list: (list, tuple)}
 
 
@@ -191,7 +183,7 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 def write_scenario(path, s: Scenario) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(s), fh, indent=2)
+        json.dump(asdict(s), fh, indent=2)
         fh.write("\n")
 
 
@@ -207,7 +199,7 @@ def read_scenario(path) -> Scenario:
 
 def scenario_hash(s: Scenario) -> str:
     """Stable sha256 fingerprint of the scenario parameters, for provenance."""
-    canon = json.dumps(scenario_to_dict(s), sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(asdict(s), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 

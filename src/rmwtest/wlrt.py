@@ -44,15 +44,14 @@ class WlrtResult:
 def moment_arrays(risk: RiskArrays) -> tuple[np.ndarray, np.ndarray]:
     """Null mean and variance of the arm-1 event count at every event time.
 
-    Mean is n1*d/n; variance is n1*(n-n1)*d*(n-d) / (n^2*(n-1)), defined
-    as 0 when the risk set has a single subject.
+    Mean is n1*d/n; variance is n1*(n-n1)*d*(n-d) / (n^2*max(n-1, 1)),
+    which is +0.0 when the risk set has a single subject (n1 is 0 or 1).
     """
     n = risk.n_total.astype(np.float64)
     n1 = risk.n_arm1.astype(np.float64)
     d = risk.d_total.astype(np.float64)
     mean = n1 * d / n
-    denom = np.where(n > 1, n * n * np.maximum(n - 1.0, 1.0), 1.0)
-    var = np.where(n > 1, n1 * (n - n1) * d * (n - d) / denom, 0.0)
+    var = n1 * (n - n1) * d * (n - d) / (n * n * np.maximum(n - 1.0, 1.0))
     return mean, var
 
 

@@ -4,13 +4,16 @@ exit codes, manifests, and byte-level determinism of outputs."""
 import argparse
 import json
 import re
+import stat
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rmwtest.cli as cli_module
 from rmwtest.cli import _KEYWORDS, _WEIGHT_FAMILIES, _build_parser, main, parse_method_grammar
 from rmwtest.dataset import read_survival_csv
 from rmwtest.errors import GrammarError
@@ -23,7 +26,6 @@ from rmwtest.simulator import (
     BUILTIN_SCENARIOS,
     PiecewiseHazard,
     Scenario,
-    scenario_to_dict,
     simulate_trial,
     write_scenario,
 )
@@ -42,7 +44,7 @@ def example_trial_with_first_time(text):
 
 def scenario_json(drop=None, **fields):
     """high_ph as JSON, with fields replaced and one field dropped."""
-    d = {**scenario_to_dict(BUILTIN_SCENARIOS["high_ph"]), **fields}
+    d = {**asdict(BUILTIN_SCENARIOS["high_ph"]), **fields}
     d.pop(drop, None)
     return json.dumps(d)
 
@@ -277,6 +279,12 @@ class TestSimulate:
             "--out", out,
         ]) == 2
 
+    def test_all_is_more_than_one_scenario(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--scenario", "all", "--out", str(out)]) == 2
+        assert "simulate needs exactly one scenario, got 10" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scenario_exits_2_and_names_choices(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "nope", "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -433,6 +441,61 @@ class TestPower:
         assert main(["power", "--methods", "lr", "--out", str(tmp_path / "p.csv")]) == 2
         assert "no scenarios" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values,names", [
+        pytest.param([" all"], list(BUILTIN_SCENARIOS), id="all"),
+        pytest.param(["high_ph", "low_ph"], ["high_ph", "low_ph"], id="repeated"),
+        pytest.param([" high_ph , low_ph "], ["high_ph", "low_ph"], id="list"),
+    ])
+    def test_scenario_values(self, tmp_path, values, names):
+        """Each --scenario is 'all' or names separated by ','; every value counts."""
+        out = tmp_path / "p.csv"
+        argv = [arg for value in values for arg in ("--scenario", value)]
+        assert main(["power", *argv, "--methods", "lr", "--reps", "100", "--out", str(out)]) == 0
+        assert list(read_power_csv(out)) == names
+        manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+        assert manifest["config"]["scenario"] == values
+
+    @pytest.mark.parametrize("value,offset,got", [
+        ("high_ph,,", 8, "','"), ("high_ph,", 8, "end of input"), ("", 0, "end of input"),
+    ])
+    def test_empty_scenario_name_exits_2(self, tmp_path, capsys, value, offset, got):
+        out = tmp_path / "p.csv"
+        argv = ["power", "--scenario", value, "--methods", "lr", "--reps", "100", "--out", str(out)]
+        assert main(argv) == 2
+        assert f"offset {offset}: expected a scenario name, got {got}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["out", "json"])
+    def test_missing_output_directory_exits_3_before_the_run(
+        self, tmp_path, monkeypatch, capsys, missing
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("estimate_power ran")
+
+        monkeypatch.setattr(cli_module, "estimate_power", no_run)
+        paths = {"out": tmp_path / "p.csv", "json": tmp_path / "p.json"}
+        paths[missing] = tmp_path / "missing" / paths[missing].name
+        assert main([
+            "power", "--scenario", "high_ph", "--methods", "lr", "--reps", "100",
+            "--out", str(paths["out"]), "--json", str(paths["json"]),
+        ]) == 3
+        assert f"{paths[missing]}: no such directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_writer_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        """The CSV, the JSON report and the manifest land together or not at all."""
+        def broken(path, *args):
+            Path(path).write_text("partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli_module, "write_power_json", broken)
+        assert main([
+            "power", "--scenario", "high_ph", "--methods", "lr", "--reps", "100",
+            "--out", str(tmp_path / "p.csv"), "--json", str(tmp_path / "p.json"),
+        ]) == 3
+        assert "disk full" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("sources", [
         ["--scenario", "high_ph,high_ph"],
         ["--scenario-file", "{spath}", "--scenario-file", "{spath}"],
@@ -469,6 +532,29 @@ class TestPower:
             "power", "--scenario", "high_equal", "--workers", "zero",
             "--out", str(tmp_path / "p.csv"),
         ]) == 2
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask,existing,mode", [
+        pytest.param(0o022, None, 0o644, id="umask-022"),
+        pytest.param(0o077, None, 0o600, id="umask-077"),
+        pytest.param(0o022, 0o640, 0o640, id="existing-0640"),
+    ])
+    def test_mode_is_that_of_open_for_writing(self, tmp_path, umask, existing, mode):
+        """A new output gets 0o666 less the umask; a replaced one keeps its mode."""
+        out = tmp_path / "trial.csv"
+        if existing is not None:
+            out.write_text("old\n")
+            out.chmod(existing)
+        code = (
+            f"import os, sys; os.umask({umask}); from rmwtest import cli; "
+            f"sys.exit(cli.main(['simulate', '--scenario', 'high_ph', '--out', {str(out)!r}]))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        manifest = tmp_path / "trial.csv.manifest.json"
+        assert stat.S_IMODE(manifest.stat().st_mode) == 0o666 & ~umask
 
 
 class TestAssurance:

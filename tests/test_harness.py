@@ -111,7 +111,7 @@ class TestEstimatePower:
             MethodSpec("LR", ComboSpec(LR, LR, k1=1.0)),
             MethodSpec("combo-as-lr", ComboSpec(LR, MW, k1=1.0)),
         ]
-        rows, degenerate = _decision_block(MINI, methods, seed=5, start=0, stop=150)
+        rows, degenerate = _decision_block(MINI, _RunPlan(methods), seed=5, start=0, stop=150)
         assert not degenerate
         assert np.array_equal(rows[:, 0], rows[:, 1])
 
@@ -145,11 +145,24 @@ class TestEstimatePower:
                 assert p <= method.combo.alpha + 1e-10
 
     def test_replicate_decisions_independent_of_blocking(self):
-        methods = paper_methods()[:3]
-        whole, _ = _decision_block(MINI, methods, seed=9, start=0, stop=120)
-        first, _ = _decision_block(MINI, methods, seed=9, start=0, stop=70)
-        rest, _ = _decision_block(MINI, methods, seed=9, start=70, stop=120)
+        plan = _RunPlan(paper_methods()[:3])
+        whole, _ = _decision_block(MINI, plan, seed=9, start=0, stop=120)
+        first, _ = _decision_block(MINI, plan, seed=9, start=0, stop=70)
+        rest, _ = _decision_block(MINI, plan, seed=9, start=70, stop=120)
         assert np.array_equal(whole, np.vstack([first, rest]))
+
+    def test_one_run_plan_per_call(self, monkeypatch):
+        """Every block of an estimate_power call shares the plan it builds."""
+        built = []
+
+        class CountingPlan(_RunPlan):
+            def __init__(self, methods):
+                built.append(methods)
+                super().__init__(methods)
+
+        monkeypatch.setattr(harness_module, "_RunPlan", CountingPlan)
+        estimate_power(MINI, paper_methods(), replicates=300, seed=3)  # three blocks
+        assert len(built) == 1
 
     def test_worker_count_does_not_change_rates(self):
         serial = estimate_power(MINI, paper_methods(), replicates=200, seed=3)

@@ -1,6 +1,7 @@
 """Tests for piecewise-exponential sampling and the built-in trial scenarios."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from rmwtest.simulator import (
     read_scenario,
     scenario_from_dict,
     scenario_hash,
-    scenario_to_dict,
     simulate_trial,
     write_scenario,
 )
@@ -162,7 +162,7 @@ class TestSimulateTrial:
 class TestSerialization:
     def test_dict_round_trip_all_builtins(self):
         for scenario in BUILTIN_SCENARIOS.values():
-            assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+            assert scenario_from_dict(asdict(scenario)) == scenario
 
     def test_file_round_trip(self, tmp_path):
         scenario = BUILTIN_SCENARIOS["low_early_harm"]
@@ -175,7 +175,7 @@ class TestSerialization:
         assert len(hashes) == len(BUILTIN_SCENARIOS)
         s = BUILTIN_SCENARIOS["high_equal"]
         h = scenario_hash(s)
-        assert h == scenario_hash(scenario_from_dict(scenario_to_dict(s)))
+        assert h == scenario_hash(scenario_from_dict(asdict(s)))
         assert len(h) == 64 and set(h) <= set("0123456789abcdef")
 
     def test_hash_depends_on_rates(self):
