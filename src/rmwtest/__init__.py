@@ -10,7 +10,6 @@ from .combo import (
     combo_pvalue,
     combo_reject,
     critical_values,
-    null_correlation,
     run_combo_test,
     union_tail,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "critical_values",
     "estimate_power",
     "get_scenario",
-    "null_correlation",
     "one_sided_p",
     "paper_methods",
     "read_power_csv",

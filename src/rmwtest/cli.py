@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -35,6 +36,7 @@ from .dataset import (
 )
 from .errors import DataError, GrammarError, NumericalError
 from .harness import (
+    RMW,
     AssuranceSpec,
     MethodSpec,
     assurance,
@@ -168,7 +170,7 @@ def parse_weight_spec(text: str) -> WeightSpec:
 # the grammar's keywords; a keyword for one method labels it with the input text
 _KEYWORDS = {
     "paper6": lambda label: list(paper_methods()),
-    "rmw": lambda label: [MethodSpec(label, ComboSpec(WeightSpec.constant(), WeightSpec.modest(0.5)))],
+    "rmw": lambda label: [MethodSpec(label, RMW)],
 }
 
 
@@ -424,6 +426,7 @@ def _option(kind: type):
     return read
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmwtest",
@@ -490,9 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

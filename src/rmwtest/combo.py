@@ -1,9 +1,10 @@
 """Joint inference for the maximum of two weighted log-rank statistics.
 
-Covers the null correlation between two standardized statistics computed
-on the same risk table, upper-tail probabilities of the standard bivariate
-normal, critical values for equal and unequal alpha splits, the rejection
-decision, and the max-combo p-value.
+Covers the one statistic core that analyze and the power harness share
+(the standardized statistics of several weight specs on one risk table and
+the null correlation of each pair), upper-tail probabilities of the
+standard bivariate normal, critical values for equal and unequal alpha
+splits, the rejection decision, and the max-combo p-value.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
-from .dataset import RiskTableRow, rows_to_arrays
+from .dataset import RiskArrays, RiskTableRow, rows_to_arrays
 from .errors import NumericalError
 from .weights import WeightSpec, weights_from_km_left
 from .wlrt import _acc_sum, moment_arrays, one_sided_p, statistic_from_arrays
@@ -152,47 +153,30 @@ def union_tail(t1: float, t2: float, rho: float) -> float:
     return min(1.0, max(0.0, one_sided_p(t1) + one_sided_p(t2) - bvn_upper(t1, t2, rho)))
 
 
-def correlation_from_arrays(
-    wa: np.ndarray, wb: np.ndarray, var: np.ndarray, va: float, vb: float
-) -> float:
-    """Null correlation of two weighted statistics on one risk table, in [0, 1].
+def evaluate(
+    specs: Sequence[WeightSpec], pairs: Iterable[tuple[int, int]], risk: RiskArrays
+) -> tuple[list[float], dict[tuple[int, int], float]]:
+    """The z of each weight spec on one risk table, and the null correlation
+    of each requested pair ``(i, j)`` of indices into ``specs``.
 
-    ``var`` holds the per-time null variances and ``va``, ``vb`` the two
-    component variances that statistic_from_arrays returns. A negative
-    estimate, possible only with signed weights, warns and becomes 0.
+    A correlation is the weighted cross-sum of per-time null variances over
+    the geometric mean of the two component variances, clamped to [0, 1]; a
+    negative estimate, possible only with signed weights, warns and becomes 0.
     """
-    correlation = _acc_sum(wa * wb * var) / math.sqrt(va * vb)
-    if correlation < 0.0:
-        warnings.warn(
-            f"estimated correlation {correlation:.6f} is negative; clamping to 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return min(correlation, 1.0)
-
-
-def _z_and_correlation(
-    w1: WeightSpec, w2: WeightSpec, table: Sequence[RiskTableRow]
-) -> tuple[float, float, float]:
-    risk = rows_to_arrays(table)
     mean, var = moment_arrays(risk)
-    wa = weights_from_km_left(w1, risk.km_left)
-    wb = weights_from_km_left(w2, risk.km_left)
-    _, va, z1 = statistic_from_arrays(wa, risk, mean, var)
-    _, vb, z2 = statistic_from_arrays(wb, risk, mean, var)
-    return z1, z2, correlation_from_arrays(wa, wb, var, va, vb)
-
-
-def null_correlation(
-    w1: WeightSpec, w2: WeightSpec, table: Sequence[RiskTableRow]
-) -> float:
-    """Null correlation of the two standardized statistics on one risk table.
-
-    This is the weighted cross-sum of per-time variances over the geometric
-    mean of the two component variances, clamped to [0, 1].
-    """
-    return _z_and_correlation(w1, w2, table)[2]
+    w = [weights_from_km_left(spec, risk.km_left) for spec in specs]
+    stats = [statistic_from_arrays(wi, risk, mean, var) for wi in w]
+    rho = {}
+    for i, j in pairs:
+        correlation = _acc_sum(w[i] * w[j] * var) / math.sqrt(stats[i][1] * stats[j][1])
+        if correlation < 0.0:
+            warnings.warn(
+                f"estimated correlation {correlation:.6f} is negative; clamping to 0",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        rho[(i, j)] = min(max(correlation, 0.0), 1.0)
+    return [z for _, _, z in stats], rho
 
 
 def _ray(spec: ComboSpec, alpha: float) -> tuple[float, float]:
@@ -287,7 +271,8 @@ def combo_pvalue(spec: ComboSpec, z1: float, z2: float, correlation: float) -> f
 
 def run_combo_test(spec: ComboSpec, table: Sequence[RiskTableRow]) -> ComboResult:
     """Run the full max-combo test on one risk table."""
-    z1, z2, correlation = _z_and_correlation(spec.w1, spec.w2, table)
+    (z1, z2), rhos = evaluate((spec.w1, spec.w2), ((0, 1),), rows_to_arrays(table))
+    correlation = rhos[(0, 1)]
     c, t1, t2 = critical_values(spec, correlation)
     return ComboResult(
         z1=z1,

@@ -172,16 +172,6 @@ def rows_to_arrays(table: Sequence[RiskTableRow]) -> RiskArrays:
     )
 
 
-# what float() and int() read, less digit-group underscores and non-ASCII digits
-_NUMBER_SYNTAX = {
-    int: re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII).fullmatch,
-    float: re.compile(
-        r"\s*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)\s*",
-        re.ASCII | re.IGNORECASE,
-    ).fullmatch,
-}
-
-
 # the spec grammar's punctuation; a word of a spec string, such as a scenario
 # name, is a run of characters that are neither punctuation nor whitespace
 SPEC_PUNCTUATION = "(),;=:"
@@ -192,9 +182,12 @@ def parse_number(text: str, kind: type[float] | type[int]) -> float | int:
     """``kind(text)`` if ``text`` has the number syntax every input shares: ASCII
     digits, no digit-group underscores. Otherwise ``ValueError("not a number:
     '<text>'")``; callers say where the text came from and check its range."""
-    if _NUMBER_SYNTAX[kind](text) is None:
-        raise ValueError(f"not a number: {text!r}")
-    return kind(text)
+    if text.isascii() and "_" not in text:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise ValueError(f"not a number: {text!r}")
 
 
 def _csv_rows(path, header: tuple[str, ...]) -> Iterator[tuple[int, Iterator[str]]]:

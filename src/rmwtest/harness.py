@@ -13,17 +13,22 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .combo import ComboSpec, combo_reject, correlation_from_arrays
+from .combo import ComboSpec, combo_reject, evaluate
 from .dataset import _csv_rows, parse_number, risk_arrays
 from .errors import DataError, NumericalError
-# perfbench/layers.py times the harness's trial simulation under this name
-from .simulator import Scenario, _stream_key, simulate_trial as _trial_arrays
-from .weights import WeightSpec, weights_from_km_left
+from .simulator import Scenario, _stream_key
+from .weights import WeightSpec
+
+# perfbench/layers.py wraps these by their names in this module: it times the
+# trial simulation through _trial_arrays, and resolves the other three here
+# although evaluate makes those calls; they can go once it traces functions
+from .simulator import simulate_trial as _trial_arrays
+from .weights import weights_from_km_left
 from .wlrt import moment_arrays, statistic_from_arrays
 
 logger = logging.getLogger(__name__)
@@ -41,6 +46,10 @@ class MethodSpec:
             raise ValueError("method label must be nonempty")
 
 
+# the paper's robust test: max(lr, mw(0.5)) at an equal alpha split
+RMW = ComboSpec(WeightSpec.constant(), WeightSpec.modest(0.5))
+
+
 def paper_methods() -> tuple[MethodSpec, ...]:
     """The six benchmark methods.
 
@@ -48,14 +57,13 @@ def paper_methods() -> tuple[MethodSpec, ...]:
     (0.6, 0.4) alpha splits; FH(0, 0.5); and the max-combo of LR with
     FH(0, 0.5) at an equal split. All one-sided at alpha = 0.025.
     """
-    lr = WeightSpec.constant()
-    mw = WeightSpec.modest(0.5)
+    lr, mw = RMW.w1, RMW.w2
     fh = WeightSpec.fleming_harrington(0.0, 0.5)
     return (
         MethodSpec("LR", ComboSpec(lr, lr, k1=1.0)),
         MethodSpec("MW", ComboSpec(mw, mw, k1=1.0)),
-        MethodSpec("rMW(k1=0.5)", ComboSpec(lr, mw)),
-        MethodSpec("rMW(k1=0.6)", ComboSpec(lr, mw, k1=0.6)),
+        MethodSpec("rMW(k1=0.5)", RMW),
+        MethodSpec("rMW(k1=0.6)", replace(RMW, k1=0.6)),
         MethodSpec("FH", ComboSpec(fh, fh, k1=1.0)),
         MethodSpec("MaxCombo", ComboSpec(lr, fh)),
     )
@@ -133,21 +141,14 @@ class _RunPlan:
 
 def _replicate_row(plan: _RunPlan, time, event, arm) -> np.ndarray:
     """Rejection decisions of every method on one dataset."""
-    risk = risk_arrays(time, event, arm)
-    mean, var = moment_arrays(risk)
-    w = [weights_from_km_left(spec, risk.km_left) for spec in plan.specs]
-    stats = [statistic_from_arrays(wi, risk, mean, var) for wi in w]
-    rho = {
-        (i, j): correlation_from_arrays(w[i], w[j], var, stats[i][1], stats[j][1])
-        for i, j in plan.pairs
-    }
+    z, rho = evaluate(plan.specs, plan.pairs, risk_arrays(time, event, arm))
     row = np.empty(len(plan.methods), dtype=bool)
     for m, method in enumerate(plan.methods):
         i, j = plan.components[m]
         # identical components are perfectly correlated; single tests (i == j
         # with k1 = 1) never read the correlation
         r = rho[(i, j)] if i != j else 1.0
-        row[m] = combo_reject(method.combo, stats[i][2], stats[j][2], r)
+        row[m] = combo_reject(method.combo, z[i], z[j], r)
     return row
 
 
@@ -203,6 +204,8 @@ def estimate_power(
     # only changes where the blocks run
     edges = np.linspace(0, replicates, replicates // 100 + 1).astype(int)
     tasks = [(scenario, plan, seed, int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+    # a pool starts all its workers at once, so start no more than there are blocks
+    workers = min(workers, len(tasks))
     if workers == 1:
         blocks = list(map(_count_block, tasks))
     else:

@@ -24,10 +24,10 @@ from rmwtest.combo import (
     ComboSpec,
     bvn_upper,
     critical_values,
-    null_correlation,
+    evaluate,
     run_combo_test,
 )
-from rmwtest.dataset import build_risk_table, read_survival_csv
+from rmwtest.dataset import build_risk_table, read_survival_csv, risk_arrays
 from rmwtest.errors import NumericalError
 from rmwtest.harness import (
     AssuranceSpec,
@@ -227,7 +227,7 @@ class TestCriterion4OracleEquivalence:
             worst_z = max(worst_z, abs(weighted_logrank(LR, table).z - z_o))
             for spec, oracle_fn in ((MW, mw_oracle), (FH, fh_oracle)):
                 try:
-                    rho = null_correlation(LR, spec, table)
+                    rho = evaluate((LR, spec), [(0, 1)], risk_arrays(time, event, arm))[1][(0, 1)]
                 except NumericalError:
                     continue
                 rho_o = correlation_oracle(time, event, arm, constant_weight, oracle_fn)

@@ -258,6 +258,55 @@ class TestAnalyze:
         assert payload["threshold1"] > 6.0 and payload["reject"] is False
         assert payload["threshold2"] is None if test == "lr" else payload["threshold2"] > 6.0
 
+    # stdout of the parent of the one-statistic-core fold, beside the three
+    # tests that perfbench/pins.json holds
+    @pytest.mark.parametrize("test, payload", [
+        ("lr", {
+            "z1": 2.187329446956057, "z2": 2.187329446956057, "correlation": 1.0, "c": 1.0,
+            "threshold1": 1.959963984540054, "threshold2": None, "reject": True,
+            "p_value": 0.01435924127501366,
+        }),
+        ("mw(0.5)", {
+            "z1": 2.369893433678865, "z2": 2.369893433678865, "correlation": 1.0, "c": 1.0,
+            "threshold1": 1.959963984540054, "threshold2": None, "reject": True,
+            "p_value": 0.008896606468129384,
+        }),
+        ("fh(0,0.5)", {
+            "z1": 2.550983438907574, "z2": 2.550983438907574, "correlation": 1.0, "c": 1.0,
+            "threshold1": 1.959963984540054, "threshold2": None, "reject": True,
+            "p_value": 0.005370971502409552,
+        }),
+        ("max(lr,mw(0.5);k1=0.75,alpha=0.05)", {
+            "z1": 2.187329446956057, "z2": 2.369893433678865, "correlation": 0.9767717774555686,
+            "c": 0.9245766202917594, "threshold1": 1.6461757035916051,
+            "threshold2": 2.0723485586017127, "reject": True, "p_value": 0.014445991721975356,
+        }),
+        ("max(mw(0.5),fh(0,0.5);k1=0.9)", {
+            "z1": 2.369893433678865, "z2": 2.550983438907574, "correlation": 0.9871062635242107,
+            "c": 0.977706646510228, "threshold1": 1.959963991224119,
+            "threshold2": 2.7444555722883957, "reject": True, "p_value": 0.00889660831406213,
+        }),
+    ])
+    def test_example_trial_bytes_are_pinned(self, capsys, test, payload):
+        assert main(["analyze", "--data", str(EXAMPLE_TRIAL), "--test", test]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    def test_calls_share_one_parser(self, capsys):
+        """A usage error or --help between two calls leaves the next call's result
+        unchanged, and neither builds a second parser."""
+        argv = ["analyze", "--data", str(EXAMPLE_TRIAL)]
+        _build_parser.cache_clear()
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main([*argv, "--test", "lr", "--alpha", "0.05"]) == 0
+        assert main([*argv, "--alpha", "0.0_5"]) == 2
+        assert main(["analyze", "--help"]) == 0
+        assert main(["--help"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert _build_parser.cache_info().misses == 1
+
     def test_runtime_needs_no_root_finder_module(self):
         code = (
             "import sys; from rmwtest import cli; "
@@ -412,6 +461,7 @@ class TestPower:
         assert json.loads(capsys.readouterr().out)["prior"] == {"my-trial": 1.0}
 
     def test_worker_count_leaves_bytes_unchanged(self, tmp_path):
+        # two blocks, so that two workers start a pool
         h = PiecewiseHazard(knots=(), rates=(0.08,))
         scenario = Scenario("mini", 60, 12.0, 3.0, h, PiecewiseHazard((), (0.05,)))
         spath = tmp_path / "mini.json"
@@ -421,7 +471,7 @@ class TestPower:
             out = tmp_path / f"power-{workers}.csv"
             assert main([
                 "power", "--scenario-file", str(spath), "--methods", "paper6",
-                "--reps", "120", "--seed", "9", "--workers", workers,
+                "--reps", "200", "--seed", "9", "--workers", workers,
                 "--out", str(out),
             ]) == 0
             outs.append(out.read_bytes())

@@ -19,11 +19,11 @@ from rmwtest.combo import (
     combo_pvalue,
     combo_reject,
     critical_values,
-    null_correlation,
+    evaluate,
     run_combo_test,
     union_tail,
 )
-from rmwtest.dataset import build_risk_table
+from rmwtest.dataset import build_risk_table, risk_arrays
 from rmwtest.errors import NumericalError
 from rmwtest.harness import MethodSpec
 from rmwtest.simulator import BUILTIN_SCENARIOS, simulate_trial
@@ -161,10 +161,15 @@ class TestBvnUpper:
         assert_allclose(union_tail(t, t, rho), 1.0 - both_low, atol=1e-10)
 
 
+def pair_correlation(w1, w2, columns):
+    """The null correlation of one pair of weight specs, as evaluate gives it."""
+    return evaluate((w1, w2), [(0, 1)], risk_arrays(*columns))[1][(0, 1)]
+
+
 class TestNullCorrelation:
     def test_self_correlation_is_one(self):
-        table = build_risk_table(*simulate_trial(BUILTIN_SCENARIOS["high_equal"], seed=4))
-        assert null_correlation(MW, MW, table) == pytest.approx(1.0, abs=1e-12)
+        columns = simulate_trial(BUILTIN_SCENARIOS["high_equal"], seed=4)
+        assert pair_correlation(MW, MW, columns) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_triple_sum_oracle(self):
         rng = np.random.default_rng(17)
@@ -175,19 +180,18 @@ class TestNullCorrelation:
         ]
         for _ in range(50):
             time, event, arm = random_dataset(rng)
-            table = build_risk_table(time, event, arm)
             for w1, w2, f1, f2 in pairs:
                 try:
-                    got = null_correlation(w1, w2, table)
+                    got = pair_correlation(w1, w2, (time, event, arm))
                 except NumericalError:
                     continue
                 want = correlation_oracle(time, event, arm, f1, f2)
                 assert_allclose(got, want, atol=1e-12)
 
     def test_nonnegative_for_supported_families(self):
-        table = build_risk_table(*simulate_trial(BUILTIN_SCENARIOS["high_delayed"], seed=12))
+        columns = simulate_trial(BUILTIN_SCENARIOS["high_delayed"], seed=12)
         for w2 in (MW, FH):
-            rho = null_correlation(LR, w2, table)
+            rho = pair_correlation(LR, w2, columns)
             assert 0.0 <= rho <= 1.0
 
 
@@ -381,8 +385,7 @@ class TestRunComboTest:
             w = real(spec, km_left)
             return -w if spec == MW else w
 
-        monkeypatch.setattr(combo_module, "weights_from_km_left", signed)
-        monkeypatch.setattr(harness_module, "weights_from_km_left", signed)
+        monkeypatch.setattr(combo_module, "weights_from_km_left", signed)  # evaluate's lookup
         seen = []
         monkeypatch.setattr(
             harness_module, "combo_reject", lambda spec, z1, z2, rho: seen.append(rho) or False

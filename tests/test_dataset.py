@@ -1,6 +1,7 @@
 """Tests for subject columns, risk-table construction, and CSV I/O."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -304,3 +305,27 @@ class TestNumberSyntax:
     @given(x=st.floats(allow_nan=False, allow_infinity=False))
     def test_repr_round_trips(self, x):
         assert parse_number(repr(x), float) == x
+
+    # the number syntax written out as one regex per kind: ASCII sign, digits,
+    # point, exponent, inf/nan and surrounding whitespace
+    SYNTAX = {
+        int: re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII),
+        float: re.compile(
+            r"\s*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)\s*",
+            re.ASCII | re.IGNORECASE,
+        ),
+    }
+
+    @given(text=st.text(st.sampled_from(
+        list("0123456789+-.eE_xinfatyINFATY") + list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\u0661\u2003")
+    ), max_size=12), kind=st.sampled_from([int, float]))
+    def test_accepts_what_the_syntax_regex_accepts(self, text, kind):
+        try:
+            got = parse_number(text, kind)
+        except ValueError as exc:
+            assert str(exc) == f"not a number: {text!r}"
+            assert self.SYNTAX[kind].fullmatch(text) is None
+        else:
+            assert self.SYNTAX[kind].fullmatch(text) is not None
+            want = kind(text)
+            assert type(got) is kind and (got == want or math.isnan(got) and math.isnan(want))

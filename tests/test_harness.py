@@ -170,6 +170,35 @@ class TestEstimatePower:
         assert serial.rates == pooled.rates
         assert serial.degenerate == pooled.degenerate
 
+    @pytest.mark.parametrize("replicates, workers, pool", [
+        (100, 5000, None), (199, 2, None), (200, 5000, 2), (350, 2, 2), (500, 3, 3),
+    ])
+    def test_starts_no_more_workers_than_blocks(self, monkeypatch, replicates, workers, pool):
+        """A pool starts all its workers at once: it gets one per block at most,
+        and one block runs without a pool."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                assert pool is not None, "one block started a pool"
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        methods = paper_methods()[:1]
+        serial = estimate_power(MINI, methods, replicates, seed=3)
+        monkeypatch.setattr(harness_module, "ProcessPoolExecutor", RecordingPool)
+        capped = estimate_power(MINI, methods, replicates, seed=3, workers=workers)
+        assert sizes == ([] if pool is None else [pool])
+        assert capped == serial
+
     def test_degenerate_replicates_count_as_non_rejection(self, caplog):
         h = PiecewiseHazard(knots=(), rates=(1e-12,))
         idle = Scenario("idle", 20, 24.0, 6.0, h, h)
