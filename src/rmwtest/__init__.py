@@ -43,7 +43,7 @@ from .simulator import (
     write_scenario,
 )
 from .weights import WeightSpec
-from .wlrt import WlrtResult, one_sided_p, weighted_logrank
+from .wlrt import one_sided_p
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "RiskTableRow",
     "Scenario",
     "WeightSpec",
-    "WlrtResult",
     "assurance",
     "build_risk_table",
     "bvn_upper",
@@ -80,7 +79,6 @@ __all__ = [
     "scenario_hash",
     "simulate_trial",
     "union_tail",
-    "weighted_logrank",
     "write_power_csv",
     "write_power_json",
     "write_scenario",

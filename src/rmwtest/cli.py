@@ -57,7 +57,6 @@ from .simulator import (
 )
 from .weights import WeightSpec
 
-WORKERS_ENV = "RMWTEST_WORKERS"
 _EXIT_CODES = ((GrammarError, 2), (DataError, 3), (NumericalError, 4), (ValueError, 2), (OSError, 3))
 
 
@@ -152,19 +151,6 @@ def _weight(tokens: _Tokens) -> WeightSpec:
         return make(*values)
     except ValueError as exc:
         raise GrammarError(f"offset {args_at}: {exc}") from None
-
-
-def parse_weight_spec(text: str) -> WeightSpec:
-    """Parse a weight string: ``constant``, ``lr``, ``mw(0.5)``, ``fh(0,0.5)``.
-
-    A parameter may be named (``mw(s*=0.5)``, ``fh(rho=0,gamma=0.5)``) with
-    the name of the parameter at its position. Errors report the offset of
-    the problem in ``text``.
-    """
-    tokens = _Tokens(text)
-    spec = _weight(tokens)
-    tokens.expect("", "end of input")
-    return spec
 
 
 # the grammar's keywords; a keyword for one method labels it with the input text
@@ -370,24 +356,19 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_workers(value) -> int:
-    if value is None:
-        value = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return parse_number(value, int)  # estimate_power checks the range
-    except ValueError as exc:
-        raise GrammarError(f"workers: {exc}") from None
-
-
 def _cmd_power(ns: argparse.Namespace) -> int:
     methods = [m for text in ns.methods or ["paper6"] for m in parse_method_grammar(text)]
     scenarios = _scenarios(ns)
     outputs = [path for path in (ns.out, ns.json) if path]
     for path in outputs:  # a missing directory fails now, not after the run
         _directory(path)
-    workers = _resolve_workers(ns.workers)
+    files = [*outputs, ns.out + ".manifest.json"]  # one writer each, or one overwrites another
+    if len(set(map(os.path.realpath, files))) < len(files):
+        raise GrammarError(
+            f"--out, --json and the manifest must be different files: {', '.join(files)}"
+        )
     ocs = [
-        estimate_power(s, methods, ns.reps, ns.seed, workers=workers)
+        estimate_power(s, methods, ns.reps, ns.seed, workers=ns.workers)
         for s in scenarios
     ]
     hashes = {s.name: scenario_hash(s) for s in scenarios}
@@ -472,8 +453,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_option(int), default=10000, help="replicates per scenario (default 10000)")
     p.add_argument("--seed", type=_option(int), default=0, help="master seed (default 0)")
     p.add_argument(
-        "--workers", default=None,
-        help=f"worker processes (default ${WORKERS_ENV} or 1); does not affect results",
+        "--workers", type=_option(int), default=1,
+        help="worker processes (default 1); does not affect results",
     )
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--json", default=None, help="also write a nested JSON report here")

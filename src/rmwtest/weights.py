@@ -61,7 +61,8 @@ class WeightSpec:
 
     def label(self) -> str:
         """Canonical config string, numbers in shortest round-trip form without
-        a trailing ``.0``; ``cli.parse_weight_spec`` reads it back to an equal spec."""
+        a trailing ``.0``; ``cli.parse_method_grammar`` reads it back as the
+        weight of a single test (``combo.w1``) equal to this spec."""
         if self.family == CONSTANT:
             return "constant"
         params = (self.s_star,) if self.family == MODEST else (self.rho, self.gamma)

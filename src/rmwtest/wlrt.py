@@ -5,40 +5,25 @@ null moments; the weighted sum of (observed - expected) and its variance
 give the test statistic. Z is oriented so that fewer events than expected
 on arm 1 (treatment benefit) maps to positive evidence, i.e. the one-sided
 p-value is 1 - Phi(z) and large positive z rejects.
+
+A single weighted log-rank test is ``run_combo_test(ComboSpec(w, w, k1=1.0),
+table)`` in ``combo``, which calls these functions through ``evaluate``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .dataset import RiskArrays, RiskTableRow, rows_to_arrays
+from .dataset import RiskArrays
 from .errors import NumericalError
-from .weights import WeightSpec, weights_from_km_left
 
 
 def _acc_sum(values: np.ndarray) -> float:
     # exactly-rounded accumulation, taken in ascending-tau order
     return math.fsum(values.tolist())
-
-
-@dataclass(frozen=True)
-class WlrtResult:
-    """Weighted log-rank output for one weight specification.
-
-    ``g`` is the weighted sum of observed-minus-expected arm-1 events,
-    ``variance`` its null variance, and ``z = -g / sqrt(variance)`` the
-    standardized statistic in the rejection direction (positive favors
-    arm 1).
-    """
-
-    g: float
-    variance: float
-    z: float
 
 
 def moment_arrays(risk: RiskArrays) -> tuple[np.ndarray, np.ndarray]:
@@ -58,25 +43,17 @@ def moment_arrays(risk: RiskArrays) -> tuple[np.ndarray, np.ndarray]:
 def statistic_from_arrays(
     w: np.ndarray, risk: RiskArrays, mean: np.ndarray, var: np.ndarray
 ) -> tuple[float, float, float]:
-    """(g, variance, z) for one weight vector over a columnar risk table."""
-    g = _acc_sum(w * (risk.d_arm1 - mean))
-    variance = _acc_sum(w * w * var)
-    if variance <= 0.0:
-        raise NumericalError("degenerate variance")
-    return g, variance, -g / math.sqrt(variance)
-
-
-def weighted_logrank(spec: WeightSpec, table: Sequence[RiskTableRow]) -> WlrtResult:
-    """Compute the weighted log-rank statistic for one weight specification.
+    """(g, variance, z) for one weight vector over a columnar risk table.
 
     Zero-variance rows (risk sets of size one) still contribute their
     weighted observed-minus-expected term to ``g``. A zero total variance
     raises NumericalError("degenerate variance").
     """
-    risk = rows_to_arrays(table)
-    w = weights_from_km_left(spec, risk.km_left)
-    mean, var = moment_arrays(risk)
-    return WlrtResult(*statistic_from_arrays(w, risk, mean, var))
+    g = _acc_sum(w * (risk.d_arm1 - mean))
+    variance = _acc_sum(w * w * var)
+    if variance <= 0.0:
+        raise NumericalError("degenerate variance")
+    return g, variance, -g / math.sqrt(variance)
 
 
 def one_sided_p(z: float) -> float:

@@ -45,7 +45,7 @@ from rmwtest.simulator import (
     simulate_trial,
 )
 from rmwtest.weights import WeightSpec
-from rmwtest.wlrt import one_sided_p, weighted_logrank
+from rmwtest.wlrt import one_sided_p
 from scipy.special import ndtr
 
 from oracles import (
@@ -224,7 +224,7 @@ class TestCriterion4OracleEquivalence:
             if var_o <= 0.0:
                 continue  # statistic undefined; the library refuses these too
             table = build_risk_table(time, event, arm)
-            worst_z = max(worst_z, abs(weighted_logrank(LR, table).z - z_o))
+            worst_z = max(worst_z, abs(run_combo_test(ComboSpec(LR, LR, k1=1.0), table).z1 - z_o))
             for spec, oracle_fn in ((MW, mw_oracle), (FH, fh_oracle)):
                 try:
                     rho = evaluate((LR, spec), [(0, 1)], risk_arrays(time, event, arm))[1][(0, 1)]
@@ -310,7 +310,7 @@ class TestCriterion7BenchmarkTrialPvalues:
         got = {}
         for m in paper_methods():
             if m.combo.k2 == 0.0:
-                got[m.label] = one_sided_p(weighted_logrank(m.combo.w1, table).z)
+                got[m.label] = one_sided_p(run_combo_test(m.combo, table).z1)
             else:
                 got[m.label] = run_combo_test(m.combo, table).p_value
         for label, want in expected.items():

@@ -477,15 +477,15 @@ class TestPower:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_workers_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RMWTEST_WORKERS", "2")
+    @pytest.mark.parametrize("flag,workers", [([], 1), (["--workers", "2"], 2)])
+    def test_manifest_records_the_worker_count(self, tmp_path, flag, workers):
         out = tmp_path / "power.csv"
         assert main([
             "power", "--scenario", "high_equal", "--methods", "lr",
-            "--reps", "100", "--out", str(out),
+            "--reps", "100", *flag, "--out", str(out),
         ]) == 0
         manifest = json.loads((tmp_path / "power.csv.manifest.json").read_text())
-        assert manifest["config"]["workers"] is None  # flag unset; env applied at run time
+        assert manifest["config"]["workers"] == workers
 
     def test_no_scenarios_exits_2(self, tmp_path, capsys):
         assert main(["power", "--methods", "lr", "--out", str(tmp_path / "p.csv")]) == 2
@@ -530,6 +530,22 @@ class TestPower:
             "--out", str(paths["out"]), "--json", str(paths["json"]),
         ]) == 3
         assert f"{paths[missing]}: no such directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("json_name", ["p.csv", "p.csv.manifest.json"])
+    def test_outputs_naming_one_file_exit_2_before_the_run(
+        self, tmp_path, monkeypatch, capsys, json_name
+    ):
+        """A --json that is the CSV or its manifest would overwrite it."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("estimate_power ran")
+
+        monkeypatch.setattr(cli_module, "estimate_power", no_run)
+        assert main([
+            "power", "--scenario", "high_ph", "--methods", "lr", "--reps", "100",
+            "--out", str(tmp_path / "p.csv"), "--json", str(tmp_path / json_name),
+        ]) == 2
+        assert "must be different files" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_writer_leaves_no_file(self, tmp_path, monkeypatch, capsys):
@@ -717,62 +733,59 @@ class TestAssurance:
 class TestNumberSyntax:
     """Every number in every input has one syntax, that of float() and int()
     without digit-group underscores or non-ASCII digits. A bad number in a
-    file exits 3; in an option, RMWTEST_WORKERS or a spec string it exits 2."""
+    file exits 3; in an option or a spec string it exits 2."""
 
-    @pytest.mark.parametrize("argv,data,workers_env,code", [
+    @pytest.mark.parametrize("argv,data,code", [
         pytest.param(
             ["analyze", "--data", "{data}"], example_trial_with_first_time("\u0661\u0660"),
-            None, 3, id="csv-time-arabic-indic",
+            3, id="csv-time-arabic-indic",
         ),
         pytest.param(
             ["assurance", "--in", "{data}", "--prior", "high_ph:1.0"],
-            POWER_HEADER + "high_ph,LR,0.5,0.0,1_000,0\n", None, 3, id="power-csv-underscore",
+            POWER_HEADER + "high_ph,LR,0.5,0.0,1_000,0\n", 3, id="power-csv-underscore",
         ),
         pytest.param(
             ["assurance", "--in", "{data}", "--prior", "high_ph:1.0"],
-            POWER_HEADER + "high_ph,LR,0.5,0.0,\u0661\u0660\u0660,0\n", None, 3,
+            POWER_HEADER + "high_ph,LR,0.5,0.0,\u0661\u0660\u0660,0\n", 3,
             id="power-csv-arabic-indic",
         ),
         pytest.param(
-            ["analyze", "--data", str(EXAMPLE_TRIAL), "--test", "mw(\u0660.5)"], None, None, 2,
+            ["analyze", "--data", str(EXAMPLE_TRIAL), "--test", "mw(\u0660.5)"], None, 2,
             id="spec-arabic-indic",
         ),
         pytest.param(
-            ["analyze", "--data", str(EXAMPLE_TRIAL), "--alpha", "0.0_25"], None, None, 2,
+            ["analyze", "--data", str(EXAMPLE_TRIAL), "--alpha", "0.0_25"], None, 2,
             id="alpha-underscore",
         ),
         pytest.param(
-            ["simulate", "--scenario", "high_ph", "--seed", "1_0", "--out", "{out}"], None, None, 2,
+            ["simulate", "--scenario", "high_ph", "--seed", "1_0", "--out", "{out}"], None, 2,
             id="seed-underscore",
         ),
         pytest.param(
             ["simulate", "--scenario", "high_ph", "--seed", "\u0661", "--out", "{out}"],
-            None, None, 2, id="seed-arabic-indic",
+            None, 2, id="seed-arabic-indic",
         ),
         pytest.param(
             ["power", "--scenario", "high_equal", "--methods", "lr", "--reps", "1_00",
-             "--out", "{out}"], None, None, 2, id="reps-underscore",
+             "--out", "{out}"], None, 2, id="reps-underscore",
         ),
         pytest.param(
             ["assurance", "--in", "{data}", "--prior", "high_ph:\u0661"],
-            POWER_HEADER + "high_ph,LR,0.5,0.0,1000,0\n", None, 2, id="prior-arabic-indic",
+            POWER_HEADER + "high_ph,LR,0.5,0.0,1000,0\n", 2, id="prior-arabic-indic",
         ),
         # a worker count that float/int would read as 1, so no pool starts either way
         *(
             pytest.param(
                 ["power", "--scenario", "high_equal", "--methods", "lr", "--reps", "100",
-                 *flag, "--out", "{out}"], None, env, 2, id=f"workers-{where}-{name}",
+                 "--workers", value, "--out", "{out}"], None, 2, id=f"workers-option-{name}",
             )
             for value, name in (("0_1", "underscore"), ("\u0661", "arabic-indic"))
-            for flag, env, where in ((["--workers", value], None, "option"), ([], value, "env"))
         ),
     ])
-    def test_rejected(self, tmp_path, monkeypatch, capsys, argv, data, workers_env, code):
+    def test_rejected(self, tmp_path, capsys, argv, data, code):
         data_path, out = tmp_path / "input.csv", tmp_path / "out.csv"
         if data is not None:
             data_path.write_text(data, encoding="utf-8")
-        if workers_env is not None:
-            monkeypatch.setenv("RMWTEST_WORKERS", workers_env)
         assert main([a.format(data=data_path, out=out) for a in argv]) == code
         assert "not a number: " in capsys.readouterr().err
         assert not out.exists()

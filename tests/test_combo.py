@@ -27,7 +27,8 @@ from rmwtest.dataset import build_risk_table, risk_arrays
 from rmwtest.errors import NumericalError
 from rmwtest.harness import MethodSpec
 from rmwtest.simulator import BUILTIN_SCENARIOS, simulate_trial
-from rmwtest.weights import WeightSpec
+from rmwtest.weights import WeightSpec, weights_from_km_left
+from rmwtest.wlrt import moment_arrays, one_sided_p, statistic_from_arrays
 
 from oracles import (
     bvn_upper_oracle,
@@ -365,13 +366,25 @@ class TestRunComboTest:
         assert 0.0 < res.p_value < 1.0
 
     def test_single_test_matches_wlrt(self):
-        from rmwtest.wlrt import one_sided_p, weighted_logrank
-
-        table = build_risk_table(*simulate_trial(BUILTIN_SCENARIOS["high_ph"], seed=8))
-        res = run_combo_test(ComboSpec(MW, MW, k1=1.0), table)
-        ref = weighted_logrank(MW, table)
-        assert_allclose(res.z1, ref.z, rtol=1e-14)
-        assert_allclose(res.p_value, one_sided_p(ref.z), rtol=1e-12)
+        """A single test's z is the wlrt statistic bit for bit, on random
+        datasets and every weight family; a degenerate variance fails both."""
+        rng = np.random.default_rng(8)
+        weights = [LR, MW, FH, WeightSpec.fleming_harrington(1, 1)]
+        for _ in range(100):
+            time, event, arm = random_dataset(rng)
+            risk = risk_arrays(time, event, arm)
+            mean, var = moment_arrays(risk)
+            table = build_risk_table(time, event, arm)
+            for w in weights:
+                try:
+                    z = statistic_from_arrays(weights_from_km_left(w, risk.km_left), risk, mean, var)[2]
+                except NumericalError:
+                    with pytest.raises(NumericalError, match="degenerate variance"):
+                        run_combo_test(ComboSpec(w, w, k1=1.0), table)
+                    continue
+                res = run_combo_test(ComboSpec(w, w, k1=1.0), table)
+                assert res.z1 == z
+                assert_allclose(res.p_value, one_sided_p(z), rtol=1e-12)
 
     def test_negative_correlation_clamped_with_warning(self, monkeypatch):
         """Anti-correlated weight vectors trip the clamp (impossible with the

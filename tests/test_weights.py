@@ -8,9 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rmwtest.cli import parse_weight_spec
+from rmwtest.cli import parse_method_grammar
 from rmwtest.errors import GrammarError
 from rmwtest.weights import WeightSpec, weights_from_km_left
+
+def single_test_weight(text):
+    """The weight of the single test a weight string parses to."""
+    return parse_method_grammar(text)[0].combo.w1
+
 
 PARAMETER = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 SPECS = st.one_of(
@@ -50,7 +55,7 @@ class TestWeightSpec:
 
     @given(spec=SPECS)
     def test_label_round_trips(self, spec):
-        assert parse_weight_spec(spec.label()) == spec
+        assert single_test_weight(spec.label()) == spec
 
 
 class TestEvaluateWeights:
@@ -108,21 +113,21 @@ class TestGrammar:
         ],
     )
     def test_accepts(self, text, expected):
-        assert parse_weight_spec(text) == expected
+        assert single_test_weight(text) == expected
 
     def test_unknown_family(self):
         with pytest.raises(GrammarError, match="offset 0"):
-            parse_weight_spec("welch(0.5)")
+            single_test_weight("welch(0.5)")
 
     def test_wrong_arity(self):
         with pytest.raises(GrammarError, match="takes 1 parameter"):
-            parse_weight_spec("mw(0.5,0.6)")
+            single_test_weight("mw(0.5,0.6)")
 
     def test_not_a_number(self):
         with pytest.raises(GrammarError, match="not a number"):
-            parse_weight_spec("mw(abc)")
+            single_test_weight("mw(abc)")
         with pytest.raises(GrammarError, match="offset 3: not a number: '0_5'"):
-            parse_weight_spec("mw(0_5)")
+            single_test_weight("mw(0_5)")
 
     @pytest.mark.parametrize(
         "text,message",
@@ -134,7 +139,7 @@ class TestGrammar:
     )
     def test_named_parameter_must_be_at_its_position(self, text, message):
         with pytest.raises(GrammarError, match=re.escape(message)):
-            parse_weight_spec(text)
+            single_test_weight(text)
 
     @pytest.mark.parametrize(
         "text,message",
@@ -146,8 +151,8 @@ class TestGrammar:
     )
     def test_structure_errors_carry_offset(self, text, message):
         with pytest.raises(GrammarError, match=re.escape(message)):
-            parse_weight_spec(text)
+            single_test_weight(text)
 
     def test_semantic_error_carries_offset(self):
         with pytest.raises(GrammarError, match="offset 3"):
-            parse_weight_spec("mw(1.5)")
+            single_test_weight("mw(1.5)")
