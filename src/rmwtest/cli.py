@@ -23,6 +23,7 @@ import re
 import stat
 import sys
 import tempfile
+import time
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
@@ -39,6 +40,9 @@ from .harness import (
     RMW,
     AssuranceSpec,
     MethodSpec,
+    _block_count,
+    _pool_size,
+    _worker_pool,
     assurance,
     estimate_power,
     method_to_dict,
@@ -301,6 +305,28 @@ def _emit(ns: argparse.Namespace, text: str, extra: dict | None = None) -> None:
         sys.stdout.write(text)
 
 
+def _distinct_files(ns: argparse.Namespace) -> None:
+    """GrammarError unless every output file, the manifest among them, differs
+    from every other output and from every input, compared by real path.
+
+    Commands write their outputs only after all their work, so an output
+    that is also an input would replace that input with no error at all.
+    """
+    outputs = [(f"--{flag}", getattr(ns, flag, None)) for flag in ("out", "json")]
+    outputs = [(flag, path) for flag, path in outputs if path]
+    if getattr(ns, "out", None):
+        outputs.append(("the manifest", ns.out + ".manifest.json"))
+    inputs = [("--data", getattr(ns, "data", None)), ("--in", getattr(ns, "input", None))]
+    inputs += [("--scenario-file", path) for path in getattr(ns, "scenario_file", None) or []]
+    inputs = [(flag, path) for flag, path in inputs if path]
+    for i, (flag, path) in enumerate(outputs):
+        for other_flag, other in outputs[i + 1:] + inputs:
+            if os.path.realpath(path) == os.path.realpath(other):
+                raise GrammarError(
+                    f"{flag} and {other_flag} must be different files: {path} and {other}"
+                )
+
+
 def _result_payload(res: ComboResult) -> dict:
     # a single test has no second threshold, which JSON writes as null
     return {**asdict(res), "threshold2": None if math.isinf(res.threshold2) else res.threshold2}
@@ -362,15 +388,14 @@ def _cmd_power(ns: argparse.Namespace) -> int:
     outputs = [path for path in (ns.out, ns.json) if path]
     for path in outputs:  # a missing directory fails now, not after the run
         _directory(path)
-    files = [*outputs, ns.out + ".manifest.json"]  # one writer each, or one overwrites another
-    if len(set(map(os.path.realpath, files))) < len(files):
-        raise GrammarError(
-            f"--out, --json and the manifest must be different files: {', '.join(files)}"
-        )
-    ocs = [
-        estimate_power(s, methods, ns.reps, ns.seed, workers=ns.workers)
-        for s in scenarios
-    ]
+    # one pool for the whole run, shut down before any output is written
+    blocks = len(scenarios) * _block_count(ns.reps)
+    ocs, seconds = [], {}
+    with _worker_pool(ns.workers, blocks) as pool:
+        for s in scenarios:
+            start = time.perf_counter()
+            ocs.append(estimate_power(s, methods, ns.reps, ns.seed, workers=ns.workers, pool=pool))
+            seconds[s.name] = time.perf_counter() - start
     hashes = {s.name: scenario_hash(s) for s in scenarios}
     writers = {ns.out: lambda p: write_power_csv(p, ocs)}
     if ns.json:
@@ -378,7 +403,12 @@ def _cmd_power(ns: argparse.Namespace) -> int:
     _write_file_atomic(writers)
     _write_manifest(
         ns.out, ns, outputs,
-        {"scenario_hash": hashes, "methods": [method_to_dict(m) for m in methods]},
+        {
+            "scenario_hash": hashes,
+            "methods": [method_to_dict(m) for m in methods],
+            "pool_workers": _pool_size(ns.workers, blocks),
+            "scenario_seconds": seconds,
+        },
     )
     return 0
 
@@ -479,6 +509,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
+        _distinct_files(ns)
         return ns.func(ns)
     except (ValueError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

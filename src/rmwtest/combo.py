@@ -9,6 +9,7 @@ splits, the rejection decision, and the max-combo p-value.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -77,6 +78,39 @@ class ComboResult:
 
 
 _GL_X, _GL_W = leggauss(16)
+_QUAD_LEVELS = 9  # panel-count doublings tried before the quadrature gives up
+
+
+@functools.lru_cache(maxsize=256)
+def _panel_table(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(0.0, 1.0, ..., n_panels) and the Gauss-Legendre weights tiled once per panel."""
+    table = np.arange(n_panels + 1, dtype=float), np.tile(_GL_W, n_panels)
+    for array in table:
+        array.flags.writeable = False  # shared by every call at this panel count
+    return table
+
+
+def _edges(lo: float, hi: float, n_panels: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n_panels + 1)`` bit for bit, from the cached integers.
+
+    The same arithmetic as linspace: the step times the integers plus lo,
+    with the last edge set to hi; a step that underflows to 0 takes
+    linspace's own branch for that case.
+    """
+    step = (hi - lo) / n_panels
+    if step == 0.0:
+        return np.linspace(lo, hi, n_panels + 1)
+    edges = _panel_table(n_panels)[0] * step + lo
+    edges[-1] = hi
+    return edges
+
+
+def _level_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Nodes, half panel width and node weights of one quadrature level."""
+    edges = _edges(lo, hi, n_panels)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (hi - lo) / n_panels
+    return (centers[:, None] + half * _GL_X[None, :]).ravel(), half, _panel_table(n_panels)[1]
 
 
 def _middle_integral(lo: float, hi: float, b: float, rho: float, s: float) -> float:
@@ -84,25 +118,32 @@ def _middle_integral(lo: float, hi: float, b: float, rho: float, s: float) -> fl
 
     Starts from at least 64 nodes with panel width tied to the transition
     scale s/|rho| and doubles the panel count until two successive levels
-    agree to _QUAD_TOL.
+    agree to _QUAD_TOL. The first two levels, which every call needs, share
+    one pass of the integrand.
     """
     if hi <= lo:
         return 0.0
+
+    def integrand(x):
+        return np.exp(-0.5 * x * x) / _SQRT_2PI * ndtr(-(b - rho * x) / s)
+
     width = min(0.5, 0.5 * s / abs(rho))
     n_panels = max(4, int(math.ceil((hi - lo) / width)))
-    previous = None
-    for _ in range(9):
-        edges = np.linspace(lo, hi, n_panels + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (hi - lo) / n_panels
-        x = (centers[:, None] + half * _GL_X[None, :]).ravel()
-        f = np.exp(-0.5 * x * x) / _SQRT_2PI * ndtr(-(b - rho * x) / s)
-        value = half * float(np.dot(f, np.tile(_GL_W, n_panels)))
-        if previous is not None and abs(value - previous) <= _QUAD_TOL * max(1.0, abs(value)):
-            return value
-        previous = value
+    x1, half1, w1 = _level_nodes(lo, hi, n_panels)
+    x2, half2, w2 = _level_nodes(lo, hi, 2 * n_panels)
+    f = integrand(np.concatenate((x1, x2)))
+    previous = half1 * float(np.dot(f[: x1.size], w1))
+    value = half2 * float(np.dot(f[x1.size :], w2))
+    levels = 2
+    # "not <=" keeps a NaN level unconverged
+    while not abs(value - previous) <= _QUAD_TOL * max(1.0, abs(value)):
+        if levels == _QUAD_LEVELS:
+            raise NumericalError("bvn quadrature failed to converge")
+        levels += 1
         n_panels *= 2
-    raise NumericalError("bvn quadrature failed to converge")
+        x, half, w = _level_nodes(lo, hi, 2 * n_panels)
+        previous, value = value, half * float(np.dot(integrand(x), w))
+    return value
 
 
 def bvn_upper(a: float, b: float, rho: float) -> float:

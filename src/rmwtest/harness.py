@@ -10,6 +10,7 @@ integer counts, so the result is identical for any worker count.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -180,6 +181,32 @@ def _count_block(args) -> tuple[np.ndarray, list[tuple[int, str]]]:
     return rows.sum(axis=0, dtype=np.int64), degenerate
 
 
+def _block_count(replicates: int) -> int:
+    """Blocks of 100-199 replicates a scenario's run splits into, whatever the
+    worker count, so a pool only changes where the blocks run."""
+    return replicates // 100
+
+
+def _pool_size(workers: int, blocks: int) -> int:
+    """Processes a pool for ``blocks`` blocks starts: a pool starts all its
+    workers at once, so no more than there are blocks, and none (0) when one
+    process would run them all."""
+    size = min(workers, blocks)
+    return size if size > 1 else 0
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int, blocks: int):
+    """The one place a pool is built: yields None when ``_pool_size`` is 0,
+    otherwise a pool of that many processes, shut down when the block ends."""
+    size = _pool_size(workers, blocks)
+    if not size:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        yield pool
+
+
 def estimate_power(
     scenario: Scenario,
     methods: Sequence[MethodSpec],
@@ -187,12 +214,19 @@ def estimate_power(
     seed: int,
     *,
     workers: int = 1,
+    pool=None,
 ) -> OperatingCharacteristics:
     """Monte Carlo rejection rate of each method under one scenario.
 
     All methods see the same `replicates` simulated datasets. The result
     depends only on (scenario, methods, replicates, seed), never on
-    `workers`.
+    `workers` or `pool`.
+
+    `pool` is an executor with a ``map`` method, such as a
+    ``ProcessPoolExecutor``, that the caller owns: the blocks of replicates
+    run on it, and the caller shuts it down, so that one pool can serve many
+    calls. Without one, the call starts a pool of at most `workers`
+    processes for its own blocks and shuts it down before it returns.
     """
     if replicates < 100:
         raise ValueError(f"replicates must be >= 100, got {replicates}")
@@ -200,17 +234,10 @@ def estimate_power(
         raise ValueError(f"workers must be >= 1, got {workers}")
     plan = _RunPlan(methods)  # checks the labels before any work
     _stream_key(seed, replicates - 1)  # and the seed and every replicate index
-    # blocks of 100-199 replicates whatever the worker count, so the pool
-    # only changes where the blocks run
-    edges = np.linspace(0, replicates, replicates // 100 + 1).astype(int)
+    edges = np.linspace(0, replicates, _block_count(replicates) + 1).astype(int)
     tasks = [(scenario, plan, seed, int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
-    # a pool starts all its workers at once, so start no more than there are blocks
-    workers = min(workers, len(tasks))
-    if workers == 1:
-        blocks = list(map(_count_block, tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_count_block, tasks))
+    with _worker_pool(workers, len(tasks)) if pool is None else contextlib.nullcontext(pool) as pool:
+        blocks = list(map(_count_block, tasks) if pool is None else pool.map(_count_block, tasks))
     counts = np.sum([block_counts for block_counts, _ in blocks], axis=0)
     # blocks come back in order and each lists its replicates in order
     degenerate = [entry for _, block_degenerate in blocks for entry in block_degenerate]

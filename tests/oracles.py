@@ -9,7 +9,12 @@ import math
 from collections import Counter
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate
+from scipy.special import ndtr
+
+from rmwtest.errors import NumericalError
+from rmwtest.wlrt import one_sided_p
 
 
 def risk_table_oracle(time, event, arm):
@@ -175,3 +180,85 @@ def fleming_harrington_weight(rho, gamma):
         return lead * tail
 
     return w
+
+
+# ---------------------------------------------------------------------------
+# combo.bvn_upper as it stood before its quadrature cached the per-level
+# set-up: a linspace and a tile per level and one integrand pass per level.
+# The package's kernel must stay equal to it bit for bit. Only the two
+# function names differ from that text.
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_TAIL_Z = 9.0     # |z| beyond which the conditional tail factor is 0 or 1 to ~1e-19
+_FAR_X = 12.5     # |x| beyond which phi(x) mass is negligible at any tolerance used here
+_QUAD_TOL = 1e-13
+_GL_X, _GL_W = leggauss(16)
+
+
+def _middle_integral_reference(lo: float, hi: float, b: float, rho: float, s: float) -> float:
+    """Refined quadrature of the conditional-tail integrand over the transition band.
+
+    Starts from at least 64 nodes with panel width tied to the transition
+    scale s/|rho| and doubles the panel count until two successive levels
+    agree to _QUAD_TOL.
+    """
+    if hi <= lo:
+        return 0.0
+    width = min(0.5, 0.5 * s / abs(rho))
+    n_panels = max(4, int(math.ceil((hi - lo) / width)))
+    previous = None
+    for _ in range(9):
+        edges = np.linspace(lo, hi, n_panels + 1)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (hi - lo) / n_panels
+        x = (centers[:, None] + half * _GL_X[None, :]).ravel()
+        f = np.exp(-0.5 * x * x) / _SQRT_2PI * ndtr(-(b - rho * x) / s)
+        value = half * float(np.dot(f, np.tile(_GL_W, n_panels)))
+        if previous is not None and abs(value - previous) <= _QUAD_TOL * max(1.0, abs(value)):
+            return value
+        previous = value
+        n_panels *= 2
+    raise NumericalError("bvn quadrature failed to converge")
+
+
+def bvn_upper_reference(a: float, b: float, rho: float) -> float:
+    """P(X > a, Y > b) for a standard bivariate normal with correlation rho.
+
+    Computed by reducing to a one-dimensional integral of the conditional
+    normal tail over the transition band, with exact normal-tail pieces
+    outside the band. Absolute error is well below 1e-10.
+    """
+    if math.isnan(rho) or not -1.0 <= rho <= 1.0:
+        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
+    if a == math.inf or b == math.inf:
+        return 0.0
+    if a == -math.inf and b == -math.inf:
+        return 1.0
+    if a == -math.inf:
+        return one_sided_p(b)
+    if b == -math.inf:
+        return one_sided_p(a)
+    if rho == 1.0:
+        return one_sided_p(max(a, b))
+    if rho == -1.0:
+        # Y = -X: the event is a < X < -b
+        return max(0.0, float(ndtr(-b) - ndtr(a)))
+    if rho == 0.0:
+        return one_sided_p(a) * one_sided_p(b)
+
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    edge_lo = (b - _TAIL_Z * s) / rho
+    edge_hi = (b + _TAIL_Z * s) / rho
+    x1, x2 = min(edge_lo, edge_hi), max(edge_lo, edge_hi)
+
+    mid_lo = min(max(max(a, x1), -_FAR_X), _FAR_X)
+    mid_hi = min(max(max(a, x2), -_FAR_X), _FAR_X)
+    middle = _middle_integral_reference(mid_lo, mid_hi, b, rho, s)
+
+    if rho > 0.0:
+        # conditional tail ~1 above the band
+        value = middle + one_sided_p(max(a, x2))
+    else:
+        # conditional tail ~1 below the band
+        value = (one_sided_p(a) - one_sided_p(max(a, x1))) + middle
+    return min(1.0, max(0.0, value))

@@ -3,6 +3,7 @@ exit codes, manifests, and byte-level determinism of outputs."""
 
 import argparse
 import json
+import multiprocessing
 import re
 import stat
 import subprocess
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 import rmwtest.cli as cli_module
+import rmwtest.harness as harness_module
 from rmwtest.cli import _KEYWORDS, _WEIGHT_FAMILIES, _build_parser, main, parse_method_grammar
 from rmwtest.dataset import read_survival_csv
-from rmwtest.errors import GrammarError
+from rmwtest.errors import GrammarError, NumericalError
 from rmwtest.harness import (
     OperatingCharacteristics,
     read_power_csv,
@@ -487,6 +489,119 @@ class TestPower:
         manifest = json.loads((tmp_path / "power.csv.manifest.json").read_text())
         assert manifest["config"]["workers"] == workers
 
+    @pytest.mark.parametrize("workers,reps,pool_workers", [
+        ("1", "200", 0),
+        ("2", "100", 0),  # one block: no pool
+        ("2", "200", 2),
+    ])
+    def test_manifest_records_the_pool_size(
+        self, tmp_path, monkeypatch, workers, reps, pool_workers
+    ):
+        """Worker processes the run started; the pool is gone before the
+        outputs are written."""
+        children_at_write = []
+        write_csv = cli_module.write_power_csv
+
+        def write(path, ocs):
+            children_at_write.append(multiprocessing.active_children())
+            write_csv(path, ocs)
+
+        monkeypatch.setattr(cli_module, "write_power_csv", write)
+        out = tmp_path / "power.csv"
+        assert main([
+            "power", "--scenario", "high_equal", "--methods", "lr",
+            "--reps", reps, "--workers", workers, "--out", str(out),
+        ]) == 0
+        assert children_at_write == [[]]
+        manifest = json.loads((tmp_path / "power.csv.manifest.json").read_text())
+        assert manifest["pool_workers"] == pool_workers
+
+    def test_manifest_records_each_scenarios_wall_time(self, tmp_path):
+        out, report = tmp_path / "p.csv", tmp_path / "p.json"
+        assert main([
+            "power", "--scenario", "low_ph,high_ph", "--methods", "lr", "--reps", "100",
+            "--out", str(out), "--json", str(report),
+        ]) == 0
+        seconds = json.loads((tmp_path / "p.csv.manifest.json").read_text())["scenario_seconds"]
+        assert list(seconds) == ["low_ph", "high_ph"]
+        assert all(isinstance(s, float) and s > 0.0 for s in seconds.values())
+        # the results themselves carry no times
+        assert "seconds" not in out.read_text() + report.read_text()
+
+    @pytest.mark.parametrize("scenario,reps,workers,pools", [
+        pytest.param("all", "200", "2", [2], id="one-pool"),
+        pytest.param("all", "200", "1", [], id="one-worker"),
+        pytest.param("high_ph", "199", "2", [], id="one-block"),
+        pytest.param("all", "200", "5000", [20], id="capped-at-blocks"),
+    ])
+    def test_one_pool_per_run(self, tmp_path, monkeypatch, scenario, reps, workers, pools):
+        """The run builds at most one pool, for all its scenarios, with no more
+        workers than the run has blocks; a stub records it and starts nothing."""
+        def run(workers):
+            out, report = tmp_path / f"p{workers}.csv", tmp_path / f"p{workers}.json"
+            assert main([
+                "power", "--scenario", scenario, "--methods", "lr", "--reps", reps, "--seed", "4",
+                "--workers", workers, "--out", str(out), "--json", str(report),
+            ]) == 0
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            return out.read_bytes(), report.read_bytes(), manifest["pool_workers"]
+
+        serial = run("1")
+        sizes, pools_in_use = [], []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        real_estimate = cli_module.estimate_power
+
+        def recording_estimate(*args, pool=None, **kwargs):
+            pools_in_use.append(pool)
+            return real_estimate(*args, pool=pool, **kwargs)
+
+        monkeypatch.setattr(harness_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli_module, "estimate_power", recording_estimate)
+        *result, pool_workers = run(workers)
+        assert sizes == pools
+        assert pool_workers == (pools[0] if pools else 0)
+        # one estimate_power call per scenario, all on the run's one pool
+        n_scenarios = len(BUILTIN_SCENARIOS) if scenario == "all" else 1
+        assert len(pools_in_use) == n_scenarios
+        assert len({id(pool) for pool in pools_in_use}) == 1
+        assert (pools_in_use[0] is None) == (not pools)
+        assert result == list(serial[:2])
+
+    def test_pool_is_shut_down_when_a_scenario_fails(self, tmp_path, monkeypatch, capsys):
+        """A real pool of two: the second scenario's failure still leaves no
+        worker process behind and no output."""
+        pools = []
+        real_estimate = cli_module.estimate_power
+
+        def second_fails(*args, pool=None, **kwargs):
+            pools.append(pool)
+            if len(pools) == 2:
+                raise NumericalError("the second scenario failed")
+            return real_estimate(*args, pool=pool, **kwargs)
+
+        monkeypatch.setattr(cli_module, "estimate_power", second_fails)
+        assert main([
+            "power", "--scenario", "high_ph,low_ph", "--methods", "lr", "--reps", "200",
+            "--workers", "2", "--out", str(tmp_path / "p.csv"),
+        ]) == 4
+        assert "the second scenario failed" in capsys.readouterr().err
+        assert pools[0] is pools[1] is not None
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_scenarios_exits_2(self, tmp_path, capsys):
         assert main(["power", "--methods", "lr", "--out", str(tmp_path / "p.csv")]) == 2
         assert "no scenarios" in capsys.readouterr().err
@@ -598,6 +713,77 @@ class TestPower:
             "power", "--scenario", "high_equal", "--workers", "zero",
             "--out", str(tmp_path / "p.csv"),
         ]) == 2
+
+
+class TestOutputsNeverReplaceInputs:
+    """An output that names an input, another output or the manifest exits 2
+    before any work, and no file is written or changed."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the command did work")
+
+        for name in (
+            "read_survival_csv", "run_combo_test", "read_scenario", "simulate_trial",
+            "estimate_power", "read_power_csv", "assurance",
+        ):
+            monkeypatch.setattr(cli_module, name, fail)
+
+    @pytest.mark.parametrize("files,argv,flags", [
+        pytest.param(
+            {"x.csv": EXAMPLE_TRIAL.read_text},
+            ["analyze", "--data", "@x.csv", "--out", "@x.csv"],
+            "--out and --data", id="analyze-out-is-data",
+        ),
+        pytest.param(
+            {"x.csv.manifest.json": EXAMPLE_TRIAL.read_text},
+            ["analyze", "--data", "@x.csv.manifest.json", "--out", "@x.csv"],
+            "the manifest and --data", id="analyze-manifest-is-data",
+        ),
+        pytest.param(
+            {"q.csv": lambda: POWER_HEADER + "high_ph,lr,0.5,0.05,100,0\n"},
+            ["assurance", "--in", "@q.csv", "--prior", "high_ph:1.0", "--out", "@q.csv"],
+            "--out and --in", id="assurance-out-is-in",
+        ),
+        pytest.param(
+            {"s.json": scenario_json},
+            ["simulate", "--scenario-file", "@s.json", "--out", "@s.json"],
+            "--out and --scenario-file", id="simulate-out-is-scenario-file",
+        ),
+        pytest.param(
+            {"s.json": scenario_json, "t.json": lambda: scenario_json(name="other")},
+            [
+                "power", "--scenario-file", "@s.json", "--scenario-file", "@t.json",
+                "--methods", "lr", "--reps", "100", "--out", "@p.csv", "--json", "@t.json",
+            ],
+            "--json and --scenario-file", id="power-json-is-scenario-file",
+        ),
+        pytest.param(
+            {"s.json": scenario_json},
+            [
+                "power", "--scenario-file", "@s.json", "--methods", "lr", "--reps", "100",
+                "--out", "@s.json",
+            ],
+            "--out and --scenario-file", id="power-out-is-scenario-file",
+        ),
+    ])
+    def test_clash_exits_2_before_any_work(self, tmp_path, capsys, no_work, files, argv, flags):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text())
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # "@name" stands for the file of that name in tmp_path
+        assert main([str(tmp_path / arg[1:]) if arg[0] == "@" else arg for arg in argv]) == 2
+        assert f"{flags} must be different files" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_a_link_to_an_input_is_the_input(self, tmp_path, capsys, no_work):
+        data, link = tmp_path / "x.csv", tmp_path / "link.json"
+        data.write_text(EXAMPLE_TRIAL.read_text())
+        link.symlink_to(data)
+        assert main(["analyze", "--data", str(data), "--out", str(link)]) == 2
+        assert "--out and --data must be different files" in capsys.readouterr().err
+        assert data.read_text() == EXAMPLE_TRIAL.read_text() and link.is_symlink()
 
 
 class TestOutputFiles:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ndtr, ndtri
 
+import oracles as oracles_module
 import rmwtest.combo as combo_module
 import rmwtest.harness as harness_module
 from rmwtest.combo import (
@@ -31,7 +32,9 @@ from rmwtest.weights import WeightSpec, weights_from_km_left
 from rmwtest.wlrt import moment_arrays, one_sided_p, statistic_from_arrays
 
 from oracles import (
+    _middle_integral_reference,
     bvn_upper_oracle,
+    bvn_upper_reference,
     constant_weight,
     correlation_oracle,
     fleming_harrington_weight,
@@ -160,6 +163,98 @@ class TestBvnUpper:
         t, rho = 1.3, 0.6
         both_low = 1.0 - 2.0 * ndtr(-t) + bvn_upper_oracle(t, t, rho)
         assert_allclose(union_tail(t, t, rho), 1.0 - both_low, atol=1e-10)
+
+
+def band_edge(b, rho):
+    """The upper end of bvn_upper's transition band for (b, rho), before clipping."""
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    return max((b - 9.0 * s) / rho, (b + 9.0 * s) / rho)
+
+
+# a and b around the usual thresholds, at the clipping limit +-12.5 and past it
+GRID_A = (-13.0, -12.5, -3.0, -0.5, 0.0, 1.96, 2.5, 6.0, 12.5, 13.0)
+GRID_B = (-4.0, -1.0, 0.0, 1.3, 2.2, 9.0)
+# negative rho, |rho| near 1, and rho near 0
+GRID_RHO = (-(1 - 1e-12), -0.999999, -0.9, -0.3, -1e-9, 1e-9, 0.2, 0.6, 0.95, 0.999999, 1 - 1e-12)
+
+
+class TestQuadratureBits:
+    """The kernel's quadrature sets each level up from cached tables and
+    evaluates its first two levels in one pass; it must return the very
+    bits of the one-level-at-a-time reference in tests/oracles.py."""
+
+    @pytest.mark.parametrize("rho", GRID_RHO)
+    def test_grid_equals_reference(self, rho):
+        for a in GRID_A:
+            for b in GRID_B:
+                assert bvn_upper(a, b, rho) == bvn_upper_reference(a, b, rho), (a, b, rho)
+
+    @given(a=st.floats(-14.0, 14.0), b=st.floats(-14.0, 14.0), rho=RHO)
+    def test_sample_equals_reference(self, a, b, rho):
+        assert bvn_upper(a, b, rho) == bvn_upper_reference(a, b, rho)
+
+    @pytest.mark.parametrize("b, rho", [(0.5, 0.99), (1.0, 0.9), (1.0, -0.7), (0.2, 1 - 1e-9)])
+    @pytest.mark.parametrize("gap", [1e-15, 1e-9, 1e-4])
+    def test_narrow_band_equals_reference(self, b, rho, gap):
+        """a just below the band's upper end leaves a band a few ulp to 1e-4 wide."""
+        edge = band_edge(b, rho)
+        for a in (edge - gap * max(1.0, abs(edge)), math.nextafter(edge, -math.inf)):
+            assert bvn_upper(a, b, rho) == bvn_upper_reference(a, b, rho), (a, b, rho)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (-5e-324, 5e-324), (1.0, math.nextafter(1.0, 2.0))])
+    def test_narrowest_bands_equal_reference(self, lo, hi):
+        """Widths of one or two subnormals make the step 0 (linspace's own branch)."""
+        b, rho = 0.5, 0.8
+        s = math.sqrt((1.0 - rho) * (1.0 + rho))
+        assert combo_module._middle_integral(lo, hi, b, rho, s) == _middle_integral_reference(
+            lo, hi, b, rho, s
+        )
+
+    def test_edges_replicate_linspace(self):
+        rng = np.random.default_rng(18)
+        # a width of one subnormal makes the step 0, which linspace handles on its own
+        assert (5e-324 - 0.0) / 4 == 0.0
+        cases = [(0.0, 5e-324, 4), (-5e-324, 5e-324, 7), (-12.5, 12.5, 50), (1.0, 1.0, 4)]
+        widths = [1e-310, 1e-300, 1e-15, 1e-6, 0.5, 3.0, 25.0]
+        for _ in range(2000):
+            lo = rng.uniform(-12.5, 12.5)
+            hi = lo + widths[rng.integers(len(widths))] * rng.uniform(0.5, 2.0)
+            cases.append((lo, hi, int(rng.integers(1, 3000))))
+        for lo, hi, n in cases:
+            expected = np.linspace(lo, hi, n + 1)
+            assert combo_module._edges(lo, hi, n).tobytes() == expected.tobytes(), (lo, hi, n)
+
+    def test_no_convergence_raises_after_nine_levels_in_both(self, monkeypatch):
+        """With a negative tolerance no level converges: both versions
+        evaluate the same nine levels and then raise."""
+        panels, sizes = [], []
+        level_nodes, ndtr_reference = combo_module._level_nodes, oracles_module.ndtr
+
+        def record_level(lo, hi, n_panels):
+            panels.append(n_panels)
+            return level_nodes(lo, hi, n_panels)
+
+        def record_ndtr(x):
+            sizes.append(np.size(x))
+            return ndtr_reference(x)
+
+        monkeypatch.setattr(combo_module, "_QUAD_TOL", -1.0)
+        monkeypatch.setattr(oracles_module, "_QUAD_TOL", -1.0)
+        monkeypatch.setattr(combo_module, "_level_nodes", record_level)
+        monkeypatch.setattr(oracles_module, "ndtr", record_ndtr)
+        for kernel in (bvn_upper, bvn_upper_reference):
+            with pytest.raises(NumericalError, match="failed to converge"):
+                kernel(1.96, 2.2, 0.6)
+        assert panels == [panels[0] * 2**k for k in range(9)]
+        assert sizes == [16 * n for n in panels]
+
+    def test_panel_tables_are_read_only(self):
+        steps, weights = combo_module._panel_table(7)
+        assert steps.tolist() == list(range(8))
+        assert weights.tobytes() == np.tile(combo_module._GL_W, 7).tobytes()
+        for array in (steps, weights):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 def pair_correlation(w1, w2, columns):

@@ -199,6 +199,31 @@ class TestEstimatePower:
         assert sizes == ([] if pool is None else [pool])
         assert capped == serial
 
+    @pytest.mark.parametrize("replicates", [100, 300])
+    def test_runs_its_blocks_on_the_callers_pool(self, monkeypatch, replicates):
+        """A given pool runs every block, even a lone one; the call builds no
+        pool of its own and leaves the caller's open."""
+        tasks = []
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("estimate_power built a pool of its own")
+
+        class CallersPool:
+            def map(self, fn, items):
+                items = list(items)
+                tasks.extend(items)
+                return map(fn, items)
+
+        methods = paper_methods()[:1]
+        serial = estimate_power(MINI, methods, replicates, seed=3)
+        monkeypatch.setattr(harness_module, "ProcessPoolExecutor", NoPool)
+        pooled = estimate_power(MINI, methods, replicates, seed=3, workers=2, pool=CallersPool())
+        assert [(a, b) for _, _, _, a, b in tasks] == (
+            [(0, 100)] if replicates == 100 else [(0, 100), (100, 200), (200, 300)]
+        )
+        assert pooled == serial
+
     def test_degenerate_replicates_count_as_non_rejection(self, caplog):
         h = PiecewiseHazard(knots=(), rates=(1e-12,))
         idle = Scenario("idle", 20, 24.0, 6.0, h, h)
