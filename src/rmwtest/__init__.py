@@ -10,6 +10,7 @@ from .combo import (
     combo_pvalue,
     combo_reject,
     critical_values,
+    one_sided_p,
     run_combo_test,
     union_tail,
 )
@@ -43,7 +44,6 @@ from .simulator import (
     write_scenario,
 )
 from .weights import WeightSpec
-from .wlrt import one_sided_p
 
 __version__ = "0.1.0"
 

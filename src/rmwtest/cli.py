@@ -305,12 +305,16 @@ def _emit(ns: argparse.Namespace, text: str, extra: dict | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _distinct_files(ns: argparse.Namespace) -> None:
+def _check_outputs(ns: argparse.Namespace) -> None:
     """GrammarError unless every output file, the manifest among them, differs
-    from every other output and from every input, compared by real path.
+    from every other output and from every input, compared by real path;
+    then DataError if an output's directory is missing or the output is a
+    directory.
 
     Commands write their outputs only after all their work, so an output
-    that is also an input would replace that input with no error at all.
+    that is also an input would replace that input with no error at all,
+    and an output that cannot be written would fail only after the others
+    had replaced their files.
     """
     outputs = [(f"--{flag}", getattr(ns, flag, None)) for flag in ("out", "json")]
     outputs = [(flag, path) for flag, path in outputs if path]
@@ -325,6 +329,10 @@ def _distinct_files(ns: argparse.Namespace) -> None:
                 raise GrammarError(
                     f"{flag} and {other_flag} must be different files: {path} and {other}"
                 )
+    for _, path in outputs:
+        _directory(path)
+        if os.path.isdir(path):
+            raise DataError(f"{path}: is a directory, not a file for the output")
 
 
 def _result_payload(res: ComboResult) -> dict:
@@ -386,8 +394,6 @@ def _cmd_power(ns: argparse.Namespace) -> int:
     methods = [m for text in ns.methods or ["paper6"] for m in parse_method_grammar(text)]
     scenarios = _scenarios(ns)
     outputs = [path for path in (ns.out, ns.json) if path]
-    for path in outputs:  # a missing directory fails now, not after the run
-        _directory(path)
     # one pool for the whole run, shut down before any output is written
     blocks = len(scenarios) * _block_count(ns.reps)
     ocs, seconds = [], {}
@@ -509,7 +515,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        _distinct_files(ns)
+        _check_outputs(ns)
         return ns.func(ns)
     except (ValueError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

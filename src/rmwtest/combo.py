@@ -1,17 +1,23 @@
-"""Joint inference for the maximum of two weighted log-rank statistics.
+"""Weighted log-rank statistics and joint inference for the maximum of two.
 
-Covers the one statistic core that analyze and the power harness share
-(the standardized statistics of several weight specs on one risk table and
-the null correlation of each pair), upper-tail probabilities of the
-standard bivariate normal, critical values for equal and unequal alpha
-splits, the rejection decision, and the max-combo p-value.
+Covers the one statistic core that analyze and the power harness share:
+the hypergeometric null moments of the arm-1 event count at each event
+time, the weighted statistic (g, variance, z) of several weight specs on
+one risk table and the null correlation of each pair; then upper-tail
+probabilities of the standard bivariate normal, critical values for equal
+and unequal alpha splits, the rejection decision, and the max-combo
+p-value.
+
+Z is oriented so that fewer events than expected on arm 1 (treatment
+benefit) maps to positive evidence, i.e. the one-sided p-value is
+1 - Phi(z) and large positive z rejects. A single weighted log-rank test
+is ``run_combo_test(ComboSpec(w, w, k1=1.0), table)``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -22,12 +28,51 @@ from scipy.special import ndtr, ndtri
 from .dataset import RiskArrays, RiskTableRow, rows_to_arrays
 from .errors import NumericalError
 from .weights import WeightSpec, weights_from_km_left
-from .wlrt import _acc_sum, moment_arrays, one_sided_p, statistic_from_arrays
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TAIL_Z = 9.0     # |z| beyond which the conditional tail factor is 0 or 1 to ~1e-19
 _FAR_X = 12.5     # |x| beyond which phi(x) mass is negligible at any tolerance used here
 _QUAD_TOL = 1e-13
+
+
+def _acc_sum(values: np.ndarray) -> float:
+    # exactly-rounded accumulation, taken in ascending-tau order
+    return math.fsum(values.tolist())
+
+
+def moment_arrays(risk: RiskArrays) -> tuple[np.ndarray, np.ndarray]:
+    """Null mean and variance of the arm-1 event count at every event time.
+
+    Mean is n1*d/n; variance is n1*(n-n1)*d*(n-d) / (n^2*max(n-1, 1)),
+    which is +0.0 when the risk set has a single subject (n1 is 0 or 1).
+    """
+    n = risk.n_total.astype(np.float64)
+    n1 = risk.n_arm1.astype(np.float64)
+    d = risk.d_total.astype(np.float64)
+    mean = n1 * d / n
+    var = n1 * (n - n1) * d * (n - d) / (n * n * np.maximum(n - 1.0, 1.0))
+    return mean, var
+
+
+def statistic_from_arrays(
+    w: np.ndarray, risk: RiskArrays, mean: np.ndarray, var: np.ndarray
+) -> tuple[float, float, float]:
+    """(g, variance, z) for one weight vector over a columnar risk table.
+
+    Zero-variance rows (risk sets of size one) still contribute their
+    weighted observed-minus-expected term to ``g``. A zero total variance
+    raises NumericalError("degenerate variance").
+    """
+    g = _acc_sum(w * (risk.d_arm1 - mean))
+    variance = _acc_sum(w * w * var)
+    if variance <= 0.0:
+        raise NumericalError("degenerate variance")
+    return g, variance, -g / math.sqrt(variance)
+
+
+def one_sided_p(z: float) -> float:
+    """Upper-tail normal p-value for a standardized statistic."""
+    return float(ndtr(-z))
 
 
 @dataclass(frozen=True)
@@ -201,22 +246,17 @@ def evaluate(
     of each requested pair ``(i, j)`` of indices into ``specs``.
 
     A correlation is the weighted cross-sum of per-time null variances over
-    the geometric mean of the two component variances, clamped to [0, 1]; a
-    negative estimate, possible only with signed weights, warns and becomes 0.
+    the geometric mean of the two component variances. Every weight family
+    and every null variance is >= 0, so the exactly rounded cross-sum is too;
+    rounding can put the quotient just above 1, hence the cap.
     """
     mean, var = moment_arrays(risk)
     w = [weights_from_km_left(spec, risk.km_left) for spec in specs]
     stats = [statistic_from_arrays(wi, risk, mean, var) for wi in w]
-    rho = {}
-    for i, j in pairs:
-        correlation = _acc_sum(w[i] * w[j] * var) / math.sqrt(stats[i][1] * stats[j][1])
-        if correlation < 0.0:
-            warnings.warn(
-                f"estimated correlation {correlation:.6f} is negative; clamping to 0",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        rho[(i, j)] = min(max(correlation, 0.0), 1.0)
+    rho = {
+        (i, j): min(_acc_sum(w[i] * w[j] * var) / math.sqrt(stats[i][1] * stats[j][1]), 1.0)
+        for i, j in pairs
+    }
     return [z for _, _, z in stats], rho
 
 

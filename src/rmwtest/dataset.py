@@ -36,6 +36,8 @@ class RiskTableRow:
     km_left: float
 
     def __post_init__(self) -> None:
+        if self.n_total < 1:
+            raise DataError(f"empty risk set at tau={self.tau}: need n_total >= 1, got {self.n_total}")
         if not 0 <= self.d_arm1 <= self.d_total <= self.n_total:
             raise DataError(
                 f"need 0 <= d_arm1 <= d_total <= n_total at tau={self.tau}, got "

@@ -28,9 +28,9 @@ from .weights import WeightSpec
 # perfbench/layers.py wraps these by their names in this module: it times the
 # trial simulation through _trial_arrays, and resolves the other three here
 # although evaluate makes those calls; they can go once it traces functions
+from .combo import moment_arrays, statistic_from_arrays
 from .simulator import simulate_trial as _trial_arrays
 from .weights import weights_from_km_left
-from .wlrt import moment_arrays, statistic_from_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -120,24 +120,12 @@ class _RunPlan:
                 raise ValueError(
                     f"duplicate method label {label!r}; method labels must be unique within a run"
                 )
-        self.specs: list[WeightSpec] = []
-        index: dict[WeightSpec, int] = {}
-
-        def intern(spec: WeightSpec) -> int:
-            if spec not in index:
-                index[spec] = len(self.specs)
-                self.specs.append(spec)
-            return index[spec]
-
-        self.components: list[tuple[int, int]] = []
-        pair_set: dict[tuple[int, int], None] = {}
-        for m in methods:
-            i = intern(m.combo.w1)
-            j = i if m.combo.k1 == 1.0 else intern(m.combo.w2)
-            self.components.append((i, j))
-            if i != j:
-                pair_set[(i, j)] = None
-        self.pairs = tuple(pair_set)
+        # each method's component specs: (w1,) for a single test, else (w1, w2)
+        used = [(m.combo.w1,) if m.combo.k1 == 1.0 else (m.combo.w1, m.combo.w2) for m in methods]
+        self.specs: list[WeightSpec] = list(dict.fromkeys(w for ws in used for w in ws))
+        index = {spec: i for i, spec in enumerate(self.specs)}
+        self.components = [(index[ws[0]], index[ws[-1]]) for ws in used]
+        self.pairs = tuple(dict.fromkeys((i, j) for i, j in self.components if i != j))
 
 
 def _replicate_row(plan: _RunPlan, time, event, arm) -> np.ndarray:

@@ -13,8 +13,9 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import ndtr
 
+from rmwtest.combo import critical_values, one_sided_p, union_tail
 from rmwtest.errors import NumericalError
-from rmwtest.wlrt import one_sided_p
+from rmwtest.weights import weights_from_km_left
 
 
 def risk_table_oracle(time, event, arm):
@@ -262,3 +263,53 @@ def bvn_upper_reference(a: float, b: float, rho: float) -> float:
         # conditional tail ~1 below the band
         value = (one_sided_p(a) - one_sided_p(max(a, x1))) + middle
     return min(1.0, max(0.0, value))
+
+
+# ---------------------------------------------------------------------------
+# Large-sample operating characteristics, with no simulation (Lakatos 1988,
+# Biometrics 44:229-241; Yung & Liu 2020, Biometrics 76:939-950).
+
+
+def asymptotic_power(scenario, methods, slices=20_000):
+    """Limiting rejection rate of each method under a scenario, keyed by label.
+
+    On a midpoint grid of ``slices`` slices over [0, study_length], arm j is
+    at risk with fraction y_j = S_j(t) G(t) / 2, where G(t) = clip((L - t)/R,
+    0, 1) is the chance that follow-up reaches t. A slice of width dt adds
+    n y0 y1/y (h1 - h0) dt to the drift of arm 1's observed-minus-expected
+    event count and n y0 y1/y^2 (y0 h0 + y1 h1) dt to its null variance v,
+    with y = y0 + y1. Weights are taken at the limit of the pooled
+    Kaplan-Meier left-limit, exp(-integral of (y0 h0 + y1 h1)/y). Statistic
+    i is then normal with mean mu_i = -sum(w_i drift)/sqrt(V_i), where
+    V_i = sum(w_i^2 v), and unit variance; a pair has correlation
+    sum(w1 w2 v)/sqrt(V1 V2), and a method rejects with probability
+    union_tail(t1 - mu1, t2 - mu2, rho) at its critical values.
+    """
+    n, length = scenario.n_total, scenario.study_length
+    dt = length / slices
+    t = (np.arange(slices) + 0.5) * dt
+    follow = np.clip((length - t) / scenario.recruit_duration, 0.0, 1.0)
+    y0, y1 = (0.5 * np.exp(-arm.cumulative_hazard(t)) * follow for arm in (scenario.arm0, scenario.arm1))
+    h0, h1 = (_slice_hazard(arm, t) for arm in (scenario.arm0, scenario.arm1))
+    y = y0 + y1
+    pooled = (y0 * h0 + y1 * h1) / y * dt
+    km_left = np.exp(-(np.cumsum(pooled) - 0.5 * pooled))  # the left limit at each midpoint
+    drift = n * y0 * y1 / y * (h1 - h0) * dt
+    var = n * y0 * y1 / (y * y) * (y0 * h0 + y1 * h1) * dt
+    rates = {}
+    for method in methods:
+        spec = method.combo
+        w1, w2 = (weights_from_km_left(w, km_left) for w in (spec.w1, spec.w2))
+        v1, v2 = float(np.dot(w1 * w1, var)), float(np.dot(w2 * w2, var))
+        mu1 = -float(np.dot(w1, drift)) / math.sqrt(v1)
+        mu2 = -float(np.dot(w2, drift)) / math.sqrt(v2)
+        rho = min(float(np.dot(w1 * w2, var)) / math.sqrt(v1 * v2), 1.0)
+        _, t1, t2 = critical_values(spec, rho)  # a single test's t2 is +inf
+        rates[method.label] = union_tail(t1 - mu1, t2 - mu2, rho)
+    return rates
+
+
+def _slice_hazard(hazard, t):
+    """The piecewise-constant hazard at times t, from its segment table."""
+    starts, _, rates = hazard._segments
+    return rates[np.searchsorted(starts, t, side="right") - 1]

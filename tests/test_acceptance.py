@@ -16,6 +16,7 @@ quick 2,000-replicate mode and all other criteria finish in seconds.
 import itertools
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from rmwtest.combo import (
     bvn_upper,
     critical_values,
     evaluate,
+    one_sided_p,
     run_combo_test,
 )
 from rmwtest.dataset import build_risk_table, read_survival_csv, risk_arrays
@@ -45,10 +47,10 @@ from rmwtest.simulator import (
     simulate_trial,
 )
 from rmwtest.weights import WeightSpec
-from rmwtest.wlrt import one_sided_p
 from scipy.special import ndtr
 
 from oracles import (
+    asymptotic_power,
     bvn_upper_oracle,
     constant_weight,
     correlation_oracle,
@@ -187,6 +189,22 @@ class TestCriterion2TableReproduction:
         _announce(
             "criterion 2 (quick mode, 2,000 replicates): PASS — 60/60 entries "
             f"within ±0.03; worst deviation {worst:.0%} of tolerance"
+        )
+
+    def test_asymptotic_mode(self):
+        """The large-sample limit of every cell, with no Monte Carlo error,
+        lies within the full mode's tolerances: a kernel, weight or
+        critical-value regression shows here in well under a second."""
+        methods = paper_methods()
+        grid = {
+            name: SimpleNamespace(rates=asymptotic_power(BUILTIN_SCENARIOS[name], methods))
+            for name in BENCHMARK
+        }
+        worst = self._check(grid, tol_power=0.015, tol_type1=0.006)
+        _announce(
+            "criterion 2 (asymptotic, no simulation): PASS — 60/60 entries "
+            f"within tolerance (power ±0.015, type I ±0.006); worst deviation "
+            f"{worst:.0%} of tolerance"
         )
 
 

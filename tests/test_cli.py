@@ -717,7 +717,8 @@ class TestPower:
 
 class TestOutputsNeverReplaceInputs:
     """An output that names an input, another output or the manifest exits 2
-    before any work, and no file is written or changed."""
+    before any work, one that cannot be written as a file exits 3 before any
+    work, and no file is written or changed."""
 
     @pytest.fixture
     def no_work(self, monkeypatch):
@@ -776,6 +777,67 @@ class TestOutputsNeverReplaceInputs:
         assert main([str(tmp_path / arg[1:]) if arg[0] == "@" else arg for arg in argv]) == 2
         assert f"{flags} must be different files" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("argv,blocked", [
+        pytest.param(
+            ["analyze", "--data", "@x.csv", "--out", "@r.json"], "r.json.manifest.json",
+            id="analyze-manifest",
+        ),
+        pytest.param(
+            ["analyze", "--data", "@x.csv", "--out", "@r.json"], "r.json", id="analyze-out",
+        ),
+        pytest.param(
+            ["simulate", "--scenario", "high_ph", "--out", "@out.csv"], "out.csv.manifest.json",
+            id="simulate-manifest",
+        ),
+        pytest.param(
+            ["power", "--scenario", "high_ph", "--methods", "lr", "--reps", "100",
+             "--out", "@p.csv", "--json", "@p.json"], "p.csv.manifest.json",
+            id="power-manifest",
+        ),
+        pytest.param(
+            ["power", "--scenario", "high_ph", "--methods", "lr", "--reps", "100",
+             "--out", "@p.csv", "--json", "@p.json"], "p.json",
+            id="power-json",
+        ),
+        pytest.param(
+            ["assurance", "--in", "@x.csv", "--prior", "high_ph:1.0", "--out", "@a.json"],
+            "a.json.manifest.json", id="assurance-manifest",
+        ),
+    ])
+    def test_output_that_is_a_directory_exits_3_before_any_work(
+        self, tmp_path, capsys, no_work, argv, blocked
+    ):
+        """Without the check the other outputs were replaced before the write failed."""
+        (tmp_path / "x.csv").write_text(EXAMPLE_TRIAL.read_text())
+        outputs = [arg[1:] for arg in argv[argv.index("--out"):] if arg[0] == "@"]
+        for name in outputs:
+            (tmp_path / name).write_text("old\n")
+        (tmp_path / blocked).unlink(missing_ok=True)
+        (tmp_path / blocked).mkdir()
+
+        def files():
+            return {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()}
+
+        before = files()
+        assert main([str(tmp_path / arg[1:]) if arg[0] == "@" else arg for arg in argv]) == 3
+        assert f"{tmp_path / blocked}: is a directory" in capsys.readouterr().err
+        assert files() == before
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--data", "@x.csv"],
+        ["simulate", "--scenario", "high_ph"],
+        ["assurance", "--in", "@x.csv", "--prior", "high_ph:1.0"],
+    ])
+    def test_missing_output_directory_exits_3_before_any_work(
+        self, tmp_path, capsys, no_work, command
+    ):
+        (tmp_path / "x.csv").write_text(EXAMPLE_TRIAL.read_text())
+        out = tmp_path / "missing" / "out"
+        argv = [str(tmp_path / arg[1:]) if arg[0] == "@" else arg for arg in command]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert f"{out}: no such directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
     def test_a_link_to_an_input_is_the_input(self, tmp_path, capsys, no_work):
         data, link = tmp_path / "x.csv", tmp_path / "link.json"

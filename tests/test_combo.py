@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from scipy.special import ndtr, ndtri
 
 import oracles as oracles_module
 import rmwtest.combo as combo_module
-import rmwtest.harness as harness_module
 from rmwtest.combo import (
     ComboSpec,
     bvn_upper,
@@ -21,15 +19,17 @@ from rmwtest.combo import (
     combo_reject,
     critical_values,
     evaluate,
+    moment_arrays,
+    one_sided_p,
     run_combo_test,
+    statistic_from_arrays,
     union_tail,
 )
 from rmwtest.dataset import build_risk_table, risk_arrays
 from rmwtest.errors import NumericalError
-from rmwtest.harness import MethodSpec
+from rmwtest.harness import _RunPlan, paper_methods
 from rmwtest.simulator import BUILTIN_SCENARIOS, simulate_trial
 from rmwtest.weights import WeightSpec, weights_from_km_left
-from rmwtest.wlrt import moment_arrays, one_sided_p, statistic_from_arrays
 
 from oracles import (
     _middle_integral_reference,
@@ -481,28 +481,37 @@ class TestRunComboTest:
                 assert res.z1 == z
                 assert_allclose(res.p_value, one_sided_p(z), rtol=1e-12)
 
-    def test_negative_correlation_clamped_with_warning(self, monkeypatch):
-        """Anti-correlated weight vectors trip the clamp (impossible with the
-        built-in nonnegative families, so inject a signed weight vector), on
-        the analyze path and on the harness path alike."""
-        columns = simulate_trial(BUILTIN_SCENARIOS["high_equal"], seed=6)
-        table = build_risk_table(*columns)
-        real = combo_module.weights_from_km_left
 
-        def signed(spec, km_left):
-            w = real(spec, km_left)
-            return -w if spec == MW else w
+WEIGHT_SPECS = st.one_of(
+    st.just(WeightSpec.constant()),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(WeightSpec.modest),
+    st.builds(
+        WeightSpec.fleming_harrington,
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    ),
+)
 
-        monkeypatch.setattr(combo_module, "weights_from_km_left", signed)  # evaluate's lookup
-        seen = []
-        monkeypatch.setattr(
-            harness_module, "combo_reject", lambda spec, z1, z2, rho: seen.append(rho) or False
-        )
-        plan = harness_module._RunPlan([MethodSpec("rMW", ComboSpec(LR, MW, 0.5))])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res = run_combo_test(ComboSpec(LR, MW, 0.5), table)
-            harness_module._replicate_row(plan, *columns)
-        assert res.correlation == 0.0
-        assert seen == [0.0]
-        assert sum("clamping" in str(w.message) for w in caught) == 2
+
+class TestStatisticCoreInvariants:
+    """What lets evaluate cap a correlation at 1 and nothing more: every
+    weight is >= 0, so every correlation lies in [0, 1]."""
+
+    @given(specs=st.lists(WEIGHT_SPECS, min_size=2, max_size=4), seed=st.integers(0, 2**32 - 1))
+    def test_weights_nonnegative_and_correlations_in_unit_interval(self, specs, seed):
+        risk = risk_arrays(*random_dataset(np.random.default_rng(seed)))
+        for spec in specs:
+            assert (weights_from_km_left(spec, risk.km_left) >= 0.0).all(), spec
+        pairs = [(i, j) for i in range(len(specs)) for j in range(i + 1, len(specs))]
+        try:
+            _, rho = evaluate(specs, pairs, risk)
+        except NumericalError:  # a weight vector with zero variance on this table
+            return
+        assert set(rho) == set(pairs)
+        assert all(0.0 <= r <= 1.0 for r in rho.values()), rho
+
+    def test_paper_plan_shares_specs_and_pairs(self):
+        plan = _RunPlan(paper_methods())
+        assert plan.specs == [LR, MW, FH]
+        assert plan.components == [(0, 0), (1, 1), (0, 1), (0, 1), (2, 2), (0, 2)]
+        assert plan.pairs == ((0, 1), (0, 2))

@@ -198,6 +198,11 @@ class TestRiskTable:
         with pytest.raises(DataError):
             RiskTableRow(tau=1.0, n_total=5, n_arm1=2, d_total=1, d_arm1=0, km_left=1.5)
 
+    def test_row_needs_someone_at_risk(self):
+        """An empty risk set would make the null moments 0/0 downstream."""
+        with pytest.raises(DataError, match=r"empty risk set at tau=2\.0"):
+            RiskTableRow(tau=2.0, n_total=0, n_arm1=0, d_total=0, d_arm1=0, km_left=0.8)
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):

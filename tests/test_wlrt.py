@@ -8,10 +8,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from rmwtest.combo import moment_arrays, one_sided_p, statistic_from_arrays
 from rmwtest.dataset import RiskArrays, risk_arrays
 from rmwtest.errors import NumericalError
 from rmwtest.weights import WeightSpec, weights_from_km_left
-from rmwtest.wlrt import moment_arrays, one_sided_p, statistic_from_arrays
 
 from oracles import (
     constant_weight,
