@@ -1,11 +1,12 @@
 """Command-line front door: analyze a dataset, simulate a trial, run the
 Monte Carlo power harness, or summarize assurance from a power table.
 
-Every subcommand is a thin composition of library calls. File outputs are
-written atomically, with the mode ``open(path, "w")`` would give, and
-accompanied by a ``<output>.manifest.json`` with the config echo, library
-versions, and a timestamp; result files themselves contain no timestamps
-so identical runs are byte-identical.
+Every subcommand is a thin composition of library calls. A command's file
+outputs are accompanied by a ``<output>.manifest.json`` with the config
+echo, library versions, and a timestamp, and all of them are moved into
+place together once all are written, the manifest last, with the mode
+``open(path, "w")`` would give; result files themselves contain no
+timestamps so identical runs are byte-identical.
 
 Exit codes: 0 success, 2 usage/grammar, 3 data error, 4 numerical failure.
 """
@@ -26,6 +27,7 @@ import tempfile
 import time
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import scipy
@@ -265,42 +267,38 @@ def _replacing(path: str):
         raise
 
 
-def _write_atomic(path: str, text: str) -> None:
-    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write_file_atomic(ns: argparse.Namespace, writers: dict, extra: dict | None = None) -> None:
+    """Run each path-taking writer, and the manifest of ``--out`` listing their
+    paths, against a temp file beside its path; move the files into place only
+    once every one has been written, the manifest last.
 
-
-def _write_file_atomic(writers: dict) -> None:
-    """Run each path-taking writer against a temp file beside its path; move
-    the files into place only once every writer has finished."""
-    with contextlib.ExitStack() as stack:
-        for path, write in writers.items():
-            write(stack.enter_context(_replacing(path)))
-
-
-def _write_manifest(out_path: str, ns: argparse.Namespace, outputs: list[str], extra: dict | None = None) -> None:
+    ``extra`` adds keys to the manifest after the common ones.
+    """
     config = {k: v for k, v in sorted(vars(ns).items()) if k != "func"}
     manifest = {
         "tool": "rmwtest",
         "version": __version__,
         "subcommand": ns.func.__name__.removeprefix("_cmd_"),
         "config": config,
-        "outputs": outputs,
+        "outputs": list(writers),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+        **(extra or {}),
     }
-    if extra:
-        manifest.update(extra)
-    _write_atomic(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    text = json.dumps(manifest, indent=2) + "\n"
+    # the stack moves files into place last entered first, so the manifest goes last
+    writers = {ns.out + ".manifest.json": lambda p: Path(p).write_text(text, encoding="utf-8"), **writers}
+    with contextlib.ExitStack() as stack:
+        for path, write in writers.items():
+            write(stack.enter_context(_replacing(path)))
 
 
-def _emit(ns: argparse.Namespace, text: str, extra: dict | None = None) -> None:
-    out = getattr(ns, "out", None)
-    if out:
-        _write_atomic(out, text)
-        _write_manifest(out, ns, [out], extra)
+def _write_atomic(ns: argparse.Namespace, text: str) -> None:
+    """``text`` to ``--out`` with its manifest, or to stdout when there is no ``--out``."""
+    if ns.out:
+        _write_file_atomic(ns, {ns.out: lambda p: Path(p).write_text(text, encoding="utf-8")})
     else:
         sys.stdout.write(text)
 
@@ -309,12 +307,12 @@ def _check_outputs(ns: argparse.Namespace) -> None:
     """GrammarError unless every output file, the manifest among them, differs
     from every other output and from every input, compared by real path;
     then DataError if an output's directory is missing or the output is a
-    directory.
+    directory, and OSError if its path cannot be looked up.
 
     Commands write their outputs only after all their work, so an output
     that is also an input would replace that input with no error at all,
-    and an output that cannot be written would fail only after the others
-    had replaced their files.
+    and an output that cannot be written would fail only after all the
+    work.
     """
     outputs = [(f"--{flag}", getattr(ns, flag, None)) for flag in ("out", "json")]
     outputs = [(flag, path) for flag, path in outputs if path]
@@ -331,8 +329,10 @@ def _check_outputs(ns: argparse.Namespace) -> None:
                 )
     for _, path in outputs:
         _directory(path)
-        if os.path.isdir(path):
-            raise DataError(f"{path}: is a directory, not a file for the output")
+        # os.path.isdir would hide an error, such as a name too long, that the write would meet
+        with contextlib.suppress(FileNotFoundError):
+            if stat.S_ISDIR(os.stat(path).st_mode):
+                raise DataError(f"{path}: is a directory, not a file for the output")
 
 
 def _result_payload(res: ComboResult) -> dict:
@@ -353,7 +353,7 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
         spec = replace(spec, alpha=ns.alpha)
     table = build_risk_table(*read_survival_csv(ns.data))
     result = run_combo_test(spec, table)
-    _emit(ns, json.dumps(_result_payload(result), indent=2) + "\n")
+    _write_atomic(ns, json.dumps(_result_payload(result), indent=2) + "\n")
     return 0
 
 
@@ -382,9 +382,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     if more:
         raise GrammarError(f"simulate needs exactly one scenario, got {1 + len(more)}")
     columns = simulate_trial(scenario, ns.seed, ns.replicate)
-    _write_file_atomic({ns.out: lambda p: write_survival_csv(p, *columns)})
-    _write_manifest(
-        ns.out, ns, [ns.out],
+    _write_file_atomic(
+        ns, {ns.out: lambda p: write_survival_csv(p, *columns)},
         {"scenario_hash": {scenario.name: scenario_hash(scenario)}},
     )
     return 0
@@ -393,7 +392,6 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 def _cmd_power(ns: argparse.Namespace) -> int:
     methods = [m for text in ns.methods or ["paper6"] for m in parse_method_grammar(text)]
     scenarios = _scenarios(ns)
-    outputs = [path for path in (ns.out, ns.json) if path]
     # one pool for the whole run, shut down before any output is written
     blocks = len(scenarios) * _block_count(ns.reps)
     ocs, seconds = [], {}
@@ -406,9 +404,8 @@ def _cmd_power(ns: argparse.Namespace) -> int:
     writers = {ns.out: lambda p: write_power_csv(p, ocs)}
     if ns.json:
         writers[ns.json] = lambda p: write_power_json(p, ocs, methods, hashes)
-    _write_file_atomic(writers)
-    _write_manifest(
-        ns.out, ns, outputs,
+    _write_file_atomic(
+        ns, writers,
         {
             "scenario_hash": hashes,
             "methods": [method_to_dict(m) for m in methods],
@@ -425,7 +422,7 @@ def _cmd_assurance(ns: argparse.Namespace) -> int:
     labels = list(next(iter(ocs.values())).rates) if ns.method == "all" else [ns.method]
     values = {label: assurance(ocs, prior, label) for label in labels}
     payload = {"prior": prior.prior, "assurance": values}
-    _emit(ns, json.dumps(payload, indent=2) + "\n")
+    _write_atomic(ns, json.dumps(payload, indent=2) + "\n")
     return 0
 
 

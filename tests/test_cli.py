@@ -2,12 +2,16 @@
 exit codes, manifests, and byte-level determinism of outputs."""
 
 import argparse
+import contextlib
+import errno
 import json
 import multiprocessing
+import os
 import re
 import stat
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -839,6 +843,24 @@ class TestOutputsNeverReplaceInputs:
         assert f"{out}: no such directory" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
+    @pytest.mark.parametrize("command,suffix", [
+        (["analyze", "--data", "@x.csv"], ".json"),
+        (["power", "--scenario", "high_ph", "--methods", "lr", "--reps", "100",
+          "--json", "@p.json"], ".csv"),
+    ])
+    def test_name_too_long_exits_3_before_any_work(
+        self, tmp_path, capsys, no_work, command, suffix
+    ):
+        """A 250-byte output name leaves its manifest's name over the 255-byte limit."""
+        out = tmp_path / ("r" * 245 + suffix)
+        for path in (tmp_path / "x.csv", tmp_path / "p.json", out):
+            path.write_text("old\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        argv = [str(tmp_path / arg[1:]) if arg[0] == "@" else arg for arg in command]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert os.strerror(errno.ENAMETOOLONG) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_a_link_to_an_input_is_the_input(self, tmp_path, capsys, no_work):
         data, link = tmp_path / "x.csv", tmp_path / "link.json"
         data.write_text(EXAMPLE_TRIAL.read_text())
@@ -869,6 +891,82 @@ class TestOutputFiles:
         assert stat.S_IMODE(out.stat().st_mode) == mode
         manifest = tmp_path / "trial.csv.manifest.json"
         assert stat.S_IMODE(manifest.stat().st_mode) == 0o666 & ~umask
+
+
+# every command with --out onto files in tmp_path: "@name" is the file of that
+# name, and the last item lists the outputs the command writes
+ONE_COMMIT_COMMANDS = [
+    pytest.param(
+        ["analyze", "--data", "@x.csv", "--out", "@r.json"], ["r.json"], id="analyze",
+    ),
+    pytest.param(
+        ["simulate", "--scenario", "high_ph", "--out", "@out.csv"], ["out.csv"], id="simulate",
+    ),
+    pytest.param(
+        ["power", "--scenario", "high_ph", "--methods", "lr", "--reps", "100",
+         "--out", "@p.csv", "--json", "@p.json"], ["p.csv", "p.json"], id="power",
+    ),
+    pytest.param(
+        ["assurance", "--in", "@q.csv", "--prior", "high_ph:1.0", "--out", "@a.json"],
+        ["a.json"], id="assurance",
+    ),
+]
+
+
+class TestOneCommit:
+    """A command's outputs and manifest are all replaced, the manifest last, or none is."""
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        """Run a command over the example trial and a power CSV in tmp_path."""
+        (tmp_path / "x.csv").write_text(EXAMPLE_TRIAL.read_text())
+        (tmp_path / "q.csv").write_text(POWER_HEADER + "high_ph,lr,0.5,0.05,100,0\n")
+        return lambda argv: main([str(tmp_path / arg[1:]) if arg[0] == "@" else arg for arg in argv])
+
+    @pytest.mark.parametrize("argv,outputs", ONE_COMMIT_COMMANDS)
+    def test_a_manifest_that_cannot_be_written_replaces_nothing(
+        self, tmp_path, monkeypatch, capsys, run, argv, outputs
+    ):
+        for name in outputs:
+            (tmp_path / name).write_text("old\n")
+            (tmp_path / (name + ".manifest.json")).write_text("old manifest\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        replacing = cli_module._replacing
+
+        @contextlib.contextmanager
+        def disk_full_at_manifest(path):
+            with replacing(path) as tmp:
+                if path.endswith(".manifest.json"):
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), tmp)
+                yield tmp
+
+        monkeypatch.setattr(cli_module, "_replacing", disk_full_at_manifest)
+        assert run(argv) == 3
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("argv,outputs", ONE_COMMIT_COMMANDS)
+    def test_all_files_are_written_before_any_moves_and_the_manifest_moves_last(
+        self, tmp_path, monkeypatch, run, argv, outputs
+    ):
+        events = []
+        mkstemp, replace = tempfile.mkstemp, os.replace
+
+        def making(*args, **kwargs):
+            events.append("temp file")
+            return mkstemp(*args, **kwargs)
+
+        def moving(src, dst):
+            events.append(os.path.basename(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(tempfile, "mkstemp", making)
+        monkeypatch.setattr(os, "replace", moving)
+        assert run(argv) == 0
+        made, moved = events[:len(outputs) + 1], events[len(outputs) + 1:]
+        assert made == ["temp file"] * (len(outputs) + 1)
+        assert sorted(moved[:-1]) == outputs
+        assert moved[-1] == outputs[0] + ".manifest.json"
 
 
 class TestAssurance:
