@@ -42,7 +42,6 @@ from .harness import (
     RMW,
     AssuranceSpec,
     MethodSpec,
-    _block_count,
     _pool_size,
     _worker_pool,
     assurance,
@@ -61,7 +60,7 @@ from .simulator import (
     scenario_hash,
     simulate_trial,
 )
-from .weights import WeightSpec
+from .weights import FAMILIES, WeightSpec
 
 _EXIT_CODES = ((GrammarError, 2), (DataError, 3), (NumericalError, 4), (ValueError, 2), (OSError, 3))
 
@@ -116,23 +115,20 @@ def _number(word: str, at: int) -> float:
         raise GrammarError(f"offset {at}: {exc}") from None
 
 
-_WEIGHT_FAMILIES = {  # name -> (constructor, parameter names by position)
-    "constant": (WeightSpec.constant, ()),
-    "lr": (WeightSpec.constant, ()),
-    "mw": (WeightSpec.modest, ("s*",)),
-    "fh": (WeightSpec.fleming_harrington, ("rho", "gamma")),
-}
+# grammar word -> weight family; each family's parameter names are in FAMILIES
+_WEIGHT_FAMILIES = {"lr": "constant", **{family: family for family in FAMILIES}}
 
 
 def _weight(tokens: _Tokens) -> WeightSpec:
     name, at = tokens.word("a weight family")
-    family = name.lower()
-    if family not in _WEIGHT_FAMILIES:
+    name = name.lower()
+    if name not in _WEIGHT_FAMILIES:
         raise GrammarError(
-            f"offset {at}: unknown weight family {family!r} "
+            f"offset {at}: unknown weight family {name!r} "
             f"(expected one of {sorted(_WEIGHT_FAMILIES)})"
         )
-    make, names = _WEIGHT_FAMILIES[family]
+    family = _WEIGHT_FAMILIES[name]
+    names = FAMILIES[family]
     args_at = tokens.peek()[1]
     values: list[float] = []
     if tokens.accept("("):
@@ -144,17 +140,17 @@ def _weight(tokens: _Tokens) -> WeightSpec:
             if tokens.accept("="):
                 if len(values) < len(names) and word != names[len(values)]:
                     raise GrammarError(
-                        f"offset {at}: parameter {len(values) + 1} of {family} is "
+                        f"offset {at}: parameter {len(values) + 1} of {name} is "
                         f"{names[len(values)]!r}, got {word!r}"
                     )
                 word, at = tokens.word("a number")
             values.append(_number(word, at))
     if len(values) != len(names):
         raise GrammarError(
-            f"offset {args_at}: {family} takes {len(names)} parameter(s), got {len(values)}"
+            f"offset {args_at}: {name} takes {len(names)} parameter(s), got {len(values)}"
         )
     try:
-        return make(*values)
+        return WeightSpec(family, tuple(values))
     except ValueError as exc:
         raise GrammarError(f"offset {args_at}: {exc}") from None
 
@@ -306,8 +302,8 @@ def _write_atomic(ns: argparse.Namespace, text: str) -> None:
 def _check_outputs(ns: argparse.Namespace) -> None:
     """GrammarError unless every output file, the manifest among them, differs
     from every other output and from every input, compared by real path;
-    then DataError if an output's directory is missing or the output is a
-    directory, and OSError if its path cannot be looked up.
+    then DataError if an output's directory is missing or the output exists
+    and is not a regular file, and OSError if its path cannot be looked up.
 
     Commands write their outputs only after all their work, so an output
     that is also an input would replace that input with no error at all,
@@ -331,8 +327,11 @@ def _check_outputs(ns: argparse.Namespace) -> None:
         _directory(path)
         # os.path.isdir would hide an error, such as a name too long, that the write would meet
         with contextlib.suppress(FileNotFoundError):
-            if stat.S_ISDIR(os.stat(path).st_mode):
+            mode = os.stat(path).st_mode
+            if stat.S_ISDIR(mode):
                 raise DataError(f"{path}: is a directory, not a file for the output")
+            if not stat.S_ISREG(mode):  # a FIFO or a device would be replaced by a plain file
+                raise DataError(f"{path}: is not a regular file, so it cannot be an output")
 
 
 def _result_payload(res: ComboResult) -> dict:
@@ -393,9 +392,8 @@ def _cmd_power(ns: argparse.Namespace) -> int:
     methods = [m for text in ns.methods or ["paper6"] for m in parse_method_grammar(text)]
     scenarios = _scenarios(ns)
     # one pool for the whole run, shut down before any output is written
-    blocks = len(scenarios) * _block_count(ns.reps)
     ocs, seconds = [], {}
-    with _worker_pool(ns.workers, blocks) as pool:
+    with _worker_pool(ns.workers, ns.reps) as pool:
         for s in scenarios:
             start = time.perf_counter()
             ocs.append(estimate_power(s, methods, ns.reps, ns.seed, workers=ns.workers, pool=pool))
@@ -409,7 +407,7 @@ def _cmd_power(ns: argparse.Namespace) -> int:
         {
             "scenario_hash": hashes,
             "methods": [method_to_dict(m) for m in methods],
-            "pool_workers": _pool_size(ns.workers, blocks),
+            "pool_workers": _pool_size(ns.workers, ns.reps),
             "scenario_seconds": seconds,
         },
     )

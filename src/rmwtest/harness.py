@@ -175,19 +175,20 @@ def _block_count(replicates: int) -> int:
     return replicates // 100
 
 
-def _pool_size(workers: int, blocks: int) -> int:
-    """Processes a pool for ``blocks`` blocks starts: a pool starts all its
-    workers at once, so no more than there are blocks, and none (0) when one
-    process would run them all."""
-    size = min(workers, blocks)
+def _pool_size(workers: int, replicates: int) -> int:
+    """Processes a pool for a run of ``replicates`` per scenario starts: a pool
+    starts all its workers at once and scenarios run one after another, so no
+    more than one scenario has blocks, and none (0) when one process would run
+    them all."""
+    size = min(workers, _block_count(replicates))
     return size if size > 1 else 0
 
 
 @contextlib.contextmanager
-def _worker_pool(workers: int, blocks: int):
+def _worker_pool(workers: int, replicates: int):
     """The one place a pool is built: yields None when ``_pool_size`` is 0,
     otherwise a pool of that many processes, shut down when the block ends."""
-    size = _pool_size(workers, blocks)
+    size = _pool_size(workers, replicates)
     if not size:
         yield None
         return
@@ -224,7 +225,7 @@ def estimate_power(
     _stream_key(seed, replicates - 1)  # and the seed and every replicate index
     edges = np.linspace(0, replicates, _block_count(replicates) + 1).astype(int)
     tasks = [(scenario, plan, seed, int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
-    with _worker_pool(workers, len(tasks)) if pool is None else contextlib.nullcontext(pool) as pool:
+    with _worker_pool(workers, replicates) if pool is None else contextlib.nullcontext(pool) as pool:
         blocks = list(map(_count_block, tasks) if pool is None else pool.map(_count_block, tasks))
     counts = np.sum([block_counts for block_counts, _ in blocks], axis=0)
     # blocks come back in order and each lists its replicates in order

@@ -536,11 +536,13 @@ class TestPower:
         pytest.param("all", "200", "2", [2], id="one-pool"),
         pytest.param("all", "200", "1", [], id="one-worker"),
         pytest.param("high_ph", "199", "2", [], id="one-block"),
-        pytest.param("all", "200", "5000", [20], id="capped-at-blocks"),
+        pytest.param("all", "200", "5000", [2], id="capped-at-blocks"),
+        pytest.param("all", "300", "5000", [3], id="capped-at-one-scenarios-blocks"),
     ])
     def test_one_pool_per_run(self, tmp_path, monkeypatch, scenario, reps, workers, pools):
         """The run builds at most one pool, for all its scenarios, with no more
-        workers than the run has blocks; a stub records it and starts nothing."""
+        workers than one scenario has blocks, as scenarios run one after
+        another; a stub records it and starts nothing."""
         def run(workers):
             out, report = tmp_path / f"p{workers}.csv", tmp_path / f"p{workers}.json"
             assert main([
@@ -826,6 +828,40 @@ class TestOutputsNeverReplaceInputs:
         before = files()
         assert main([str(tmp_path / arg[1:]) if arg[0] == "@" else arg for arg in argv]) == 3
         assert f"{tmp_path / blocked}: is a directory" in capsys.readouterr().err
+        assert files() == before
+
+    @pytest.mark.parametrize("argv,blocked", [
+        pytest.param(["analyze", "--data", "@x.csv", "--out", "@r.json"], "r.json", id="analyze-out"),
+        pytest.param(
+            ["power", "--scenario", "high_ph", "--methods", "lr", "--reps", "100",
+             "--out", "@p.csv", "--json", "@p.json"], "p.csv",
+            id="power-out",
+        ),
+        pytest.param(
+            ["power", "--scenario", "high_ph", "--methods", "lr", "--reps", "100",
+             "--out", "@p.csv", "--json", "@p.json"], "p.csv.manifest.json",
+            id="power-manifest",
+        ),
+    ])
+    def test_output_that_is_a_fifo_exits_3_before_any_work(
+        self, tmp_path, capsys, no_work, argv, blocked
+    ):
+        """Without the check the FIFO was replaced by a plain file. Only stat
+        touches the FIFO here: opening it would block."""
+        (tmp_path / "x.csv").write_text(EXAMPLE_TRIAL.read_text())
+        outputs = [arg[1:] for arg in argv[argv.index("--out"):] if arg[0] == "@"]
+        for name in outputs:
+            (tmp_path / name).write_text("old\n")
+        (tmp_path / blocked).unlink(missing_ok=True)
+        os.mkfifo(tmp_path / blocked)
+
+        def files():
+            return {p.name: p.is_fifo() or p.read_bytes() for p in tmp_path.iterdir()}
+
+        before = files()
+        assert main([str(tmp_path / arg[1:]) if arg[0] == "@" else arg for arg in argv]) == 3
+        assert f"{tmp_path / blocked}: is not a regular file" in capsys.readouterr().err
+        assert stat.S_ISFIFO(os.stat(tmp_path / blocked).st_mode)
         assert files() == before
 
     @pytest.mark.parametrize("command", [

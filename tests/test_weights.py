@@ -53,6 +53,21 @@ class TestWeightSpec:
         assert WeightSpec.modest(0.123456789).label() == "mw(0.123456789)"
         assert WeightSpec.fleming_harrington(1e6, 2.5e-7).label() == "fh(1000000,2.5e-07)"
 
+    @pytest.mark.parametrize("family,params", [
+        ("mw", ()),
+        ("fh", (0.0,)),
+        ("constant", (1.0,)),
+        ("modest", (0.5,)),
+    ])
+    def test_direct_construction_checks_family_and_arity(self, family, params):
+        with pytest.raises(ValueError):
+            WeightSpec(family, params)
+
+    def test_direct_construction_equals_the_named_constructor(self):
+        spec = WeightSpec("mw", [0.5])
+        assert spec == WeightSpec.modest(0.5)
+        assert hash(spec) == hash(WeightSpec.modest(0.5))
+
     @given(spec=SPECS)
     def test_label_round_trips(self, spec):
         assert single_test_weight(spec.label()) == spec
