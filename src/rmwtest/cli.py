@@ -3,10 +3,10 @@ Monte Carlo power harness, or summarize assurance from a power table.
 
 Every subcommand is a thin composition of library calls. A command's file
 outputs are accompanied by a ``<output>.manifest.json`` with the config
-echo, library versions, and a timestamp, and all of them are moved into
-place together once all are written, the manifest last, with the mode
-``open(path, "w")`` would give; result files themselves contain no
-timestamps so identical runs are byte-identical.
+echo, library versions, and a timestamp, and all are moved into place
+together once all are written, the manifest last, to the file and with the
+mode ``open(path, "w")`` would give (past a symbolic link); result files
+contain no timestamps so identical runs are byte-identical.
 
 Exit codes: 0 success, 2 usage/grammar, 3 data error, 4 numerical failure.
 """
@@ -229,23 +229,25 @@ def _parse_prior(text: str) -> AssuranceSpec:
 # output plumbing
 
 
-def _directory(path: str) -> str:
-    """The directory an output goes in; a missing one is a DataError naming ``path``."""
-    directory = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(directory):
-        raise DataError(f"{path}: no such directory for the output")
-    return directory
+def _outputs(ns: argparse.Namespace) -> dict[str, tuple[str, str]]:
+    """The one table of output files, ``--out``, ``--json`` and the manifest of
+    ``--out``: flag -> (path as given, real path), the real path past symbolic
+    links as ``open(path, "w")`` follows them, so a link is written through."""
+    given = {flag: getattr(ns, flag[2:], None) for flag in ("--out", "--json")}
+    if given["--out"] is not None:
+        given["the manifest"] = given["--out"] + ".manifest.json"
+    return {flag: (path, os.path.realpath(path)) for flag, path in given.items() if path is not None}
 
 
 @contextlib.contextmanager
 def _replacing(path: str):
-    """Yield a temp file beside ``path``, moved onto ``path`` when the block ends
-    without an error and removed when it does not.
+    """Yield a temp file beside the real path ``path``, moved onto it when the
+    block ends without an error and removed when it does not.
 
     The file gets the mode ``open(path, "w")`` would leave: that of the file
     it replaces, or 0o666 less the umask for a new one.
     """
-    fd, tmp = tempfile.mkstemp(dir=_directory(path), prefix=".rmwtest-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".rmwtest-")
     os.close(fd)
     try:
         try:
@@ -264,19 +266,22 @@ def _replacing(path: str):
 
 
 def _write_file_atomic(ns: argparse.Namespace, writers: dict, extra: dict | None = None) -> None:
-    """Run each path-taking writer, and the manifest of ``--out`` listing their
-    paths, against a temp file beside its path; move the files into place only
-    once every one has been written, the manifest last.
+    """Run each path-taking writer, keyed by its output flag, and the manifest
+    of ``--out`` listing the given paths, against a temp file beside its real
+    path; move the files into place only once every one is written, the
+    manifest last.
 
     ``extra`` adds keys to the manifest after the common ones.
     """
+    outputs = _outputs(ns)
+    assert writers.keys() == outputs.keys() - {"the manifest"}, (list(writers), outputs)
     config = {k: v for k, v in sorted(vars(ns).items()) if k != "func"}
     manifest = {
         "tool": "rmwtest",
         "version": __version__,
         "subcommand": ns.func.__name__.removeprefix("_cmd_"),
         "config": config,
-        "outputs": list(writers),
+        "outputs": [outputs[flag][0] for flag in writers],
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
@@ -285,16 +290,16 @@ def _write_file_atomic(ns: argparse.Namespace, writers: dict, extra: dict | None
     }
     text = json.dumps(manifest, indent=2) + "\n"
     # the stack moves files into place last entered first, so the manifest goes last
-    writers = {ns.out + ".manifest.json": lambda p: Path(p).write_text(text, encoding="utf-8"), **writers}
+    writers = {"the manifest": lambda p: Path(p).write_text(text, encoding="utf-8"), **writers}
     with contextlib.ExitStack() as stack:
-        for path, write in writers.items():
-            write(stack.enter_context(_replacing(path)))
+        for flag, write in writers.items():
+            write(stack.enter_context(_replacing(outputs[flag][1])))
 
 
 def _write_atomic(ns: argparse.Namespace, text: str) -> None:
     """``text`` to ``--out`` with its manifest, or to stdout when there is no ``--out``."""
-    if ns.out:
-        _write_file_atomic(ns, {ns.out: lambda p: Path(p).write_text(text, encoding="utf-8")})
+    if ns.out is not None:
+        _write_file_atomic(ns, {"--out": lambda p: Path(p).write_text(text, encoding="utf-8")})
     else:
         sys.stdout.write(text)
 
@@ -305,29 +310,24 @@ def _check_outputs(ns: argparse.Namespace) -> None:
     then DataError if an output's directory is missing or the output exists
     and is not a regular file, and OSError if its path cannot be looked up.
 
-    Commands write their outputs only after all their work, so an output
-    that is also an input would replace that input with no error at all,
-    and an output that cannot be written would fail only after all the
-    work.
+    Commands write their outputs only after all their work, so an output that
+    is also an input would replace that input with no error at all, and one
+    that cannot be written would fail only after all the work.
     """
-    outputs = [(f"--{flag}", getattr(ns, flag, None)) for flag in ("out", "json")]
-    outputs = [(flag, path) for flag, path in outputs if path]
-    if getattr(ns, "out", None):
-        outputs.append(("the manifest", ns.out + ".manifest.json"))
+    outputs = [(flag, path, real) for flag, (path, real) in _outputs(ns).items()]
     inputs = [("--data", getattr(ns, "data", None)), ("--in", getattr(ns, "input", None))]
     inputs += [("--scenario-file", path) for path in getattr(ns, "scenario_file", None) or []]
-    inputs = [(flag, path) for flag, path in inputs if path]
-    for i, (flag, path) in enumerate(outputs):
-        for other_flag, other in outputs[i + 1:] + inputs:
-            if os.path.realpath(path) == os.path.realpath(other):
-                raise GrammarError(
-                    f"{flag} and {other_flag} must be different files: {path} and {other}"
-                )
-    for _, path in outputs:
-        _directory(path)
+    inputs = [(flag, path, os.path.realpath(path)) for flag, path in inputs if path]
+    for i, (flag, path, real) in enumerate(outputs):
+        for other_flag, other, other_real in outputs[i + 1:] + inputs:
+            if real == other_real:
+                raise GrammarError(f"{flag} and {other_flag} must be different files: {path} and {other}")
+    for _, path, real in outputs:
+        if not os.path.isdir(os.path.dirname(real)):
+            raise DataError(f"{path}: no such directory for the output")
         # os.path.isdir would hide an error, such as a name too long, that the write would meet
         with contextlib.suppress(FileNotFoundError):
-            mode = os.stat(path).st_mode
+            mode = os.stat(real).st_mode
             if stat.S_ISDIR(mode):
                 raise DataError(f"{path}: is a directory, not a file for the output")
             if not stat.S_ISREG(mode):  # a FIFO or a device would be replaced by a plain file
@@ -382,7 +382,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
         raise GrammarError(f"simulate needs exactly one scenario, got {1 + len(more)}")
     columns = simulate_trial(scenario, ns.seed, ns.replicate)
     _write_file_atomic(
-        ns, {ns.out: lambda p: write_survival_csv(p, *columns)},
+        ns, {"--out": lambda p: write_survival_csv(p, *columns)},
         {"scenario_hash": {scenario.name: scenario_hash(scenario)}},
     )
     return 0
@@ -399,9 +399,9 @@ def _cmd_power(ns: argparse.Namespace) -> int:
             ocs.append(estimate_power(s, methods, ns.reps, ns.seed, workers=ns.workers, pool=pool))
             seconds[s.name] = time.perf_counter() - start
     hashes = {s.name: scenario_hash(s) for s in scenarios}
-    writers = {ns.out: lambda p: write_power_csv(p, ocs)}
-    if ns.json:
-        writers[ns.json] = lambda p: write_power_json(p, ocs, methods, hashes)
+    writers = {"--out": lambda p: write_power_csv(p, ocs)}
+    if ns.json is not None:
+        writers["--json"] = lambda p: write_power_json(p, ocs, methods, hashes)
     _write_file_atomic(
         ns, writers,
         {
@@ -438,6 +438,13 @@ def _option(kind: type):
     return read
 
 
+def _path(text: str) -> str:
+    """argparse ``type`` for an output path; an empty one names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 @functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -459,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "'mw(0.5)', 'fh(0,0.5)' or 'max(<w1>,<w2>;k1=...,alpha=...)'; not the set 'paper6'",
     )
     p.add_argument("--alpha", type=_option(float), default=None, help="one-sided level for any test (default: the test's own)")
-    p.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    p.add_argument("--out", type=_path, default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("simulate", help="write one simulated trial dataset as CSV")
@@ -468,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--scenario-file", action="append", help="scenario JSON file")
     p.add_argument("--seed", type=_option(int), default=0, help="master seed (default 0)")
     p.add_argument("--replicate", type=_option(int), default=0, help="replicate index (default 0)")
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--out", type=_path, required=True, help="output CSV path")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("power", help="Monte Carlo rejection rates per scenario and method")
@@ -487,8 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=_option(int), default=1,
         help="worker processes (default 1); does not affect results",
     )
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--json", default=None, help="also write a nested JSON report here")
+    p.add_argument("--out", type=_path, required=True, help="output CSV path")
+    p.add_argument("--json", type=_path, default=None, help="also write a nested JSON report here")
     p.set_defaults(func=_cmd_power)
 
     p = sub.add_parser("assurance", help="prior-weighted average power from a power CSV")
@@ -498,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated '<scenario>:<weight>' pairs; weights must sum to 1",
     )
     p.add_argument("--method", default="all", help="method label or 'all' (default all)")
-    p.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    p.add_argument("--out", type=_path, default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_assurance)
 
     return parser

@@ -4,6 +4,7 @@ exit codes, manifests, and byte-level determinism of outputs."""
 import argparse
 import contextlib
 import errno
+import io
 import json
 import multiprocessing
 import os
@@ -17,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmwtest.cli as cli_module
 import rmwtest.harness as harness_module
@@ -905,6 +908,55 @@ class TestOutputsNeverReplaceInputs:
         assert "--out and --data must be different files" in capsys.readouterr().err
         assert data.read_text() == EXAMPLE_TRIAL.read_text() and link.is_symlink()
 
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--data", "@x.csv"],
+        ["simulate", "--scenario", "high_ph"],
+        ["power", "--scenario", "high_ph", "--methods", "lr", "--reps", "100"],
+        ["assurance", "--in", "@x.csv", "--prior", "high_ph:1.0"],
+    ])
+    def test_a_link_into_a_missing_directory_exits_3_before_any_work(
+        self, tmp_path, capsys, no_work, command
+    ):
+        """The link is followed as ``open(path, "w")`` would follow it."""
+        (tmp_path / "x.csv").write_text(EXAMPLE_TRIAL.read_text())
+        link = tmp_path / "link.out"
+        link.symlink_to(tmp_path / "missing" / "out")
+        argv = [str(tmp_path / arg[1:]) if arg[0] == "@" else arg for arg in command]
+        assert main([*argv, "--out", str(link)]) == 3
+        assert f"{link}: no such directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.out", "x.csv"]
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["analyze", "--data", "@x.csv", "--out", ""], id="analyze"),
+        pytest.param(["simulate", "--scenario", "high_ph", "--out", ""], id="simulate"),
+        pytest.param(
+            ["power", "--scenario", "high_ph", "--methods", "lr", "--reps", "100", "--out", ""],
+            id="power",
+        ),
+        pytest.param(
+            ["power", "--scenario", "high_ph", "--methods", "lr", "--reps", "100",
+             "--out", "p.csv", "--json", ""],
+            id="power-json",
+        ),
+        pytest.param(
+            ["assurance", "--in", "@x.csv", "--prior", "high_ph:1.0", "--out", ""], id="assurance",
+        ),
+    ])
+    def test_an_empty_output_path_exits_2_before_any_work(
+        self, tmp_path, monkeypatch, capsys, no_work, argv
+    ):
+        """An empty path names no file: without the check, analyze wrote to stdout
+        and power made its temp file in the parent of the working directory."""
+        (tmp_path / "x.csv").write_text(EXAMPLE_TRIAL.read_text())
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main([str(tmp_path / arg[1:]) if arg[:1] == "@" else arg for arg in argv]) == 2
+        flag = argv[argv.index("") - 1]
+        assert f"argument {flag}: an empty path names no file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["work", "x.csv"]
+        assert list(work.iterdir()) == []
+
 
 class TestOutputFiles:
     @pytest.mark.parametrize("umask,existing,mode", [
@@ -949,15 +1001,16 @@ ONE_COMMIT_COMMANDS = [
 ]
 
 
+@pytest.fixture
+def run(tmp_path):
+    """Run a command over the example trial and a power CSV in tmp_path."""
+    (tmp_path / "x.csv").write_text(EXAMPLE_TRIAL.read_text())
+    (tmp_path / "q.csv").write_text(POWER_HEADER + "high_ph,lr,0.5,0.05,100,0\n")
+    return lambda argv: main([str(tmp_path / arg[1:]) if arg[0] == "@" else arg for arg in argv])
+
+
 class TestOneCommit:
     """A command's outputs and manifest are all replaced, the manifest last, or none is."""
-
-    @pytest.fixture
-    def run(self, tmp_path):
-        """Run a command over the example trial and a power CSV in tmp_path."""
-        (tmp_path / "x.csv").write_text(EXAMPLE_TRIAL.read_text())
-        (tmp_path / "q.csv").write_text(POWER_HEADER + "high_ph,lr,0.5,0.05,100,0\n")
-        return lambda argv: main([str(tmp_path / arg[1:]) if arg[0] == "@" else arg for arg in argv])
 
     @pytest.mark.parametrize("argv,outputs", ONE_COMMIT_COMMANDS)
     def test_a_manifest_that_cannot_be_written_replaces_nothing(
@@ -1003,6 +1056,50 @@ class TestOneCommit:
         assert made == ["temp file"] * (len(outputs) + 1)
         assert sorted(moved[:-1]) == outputs
         assert moved[-1] == outputs[0] + ".manifest.json"
+
+    @pytest.mark.parametrize("json_given,writers", [
+        (False, ["--out", "--json"]), (True, ["--out"]), (False, ["--out", "--data"]),
+    ])
+    def test_the_writers_are_exactly_the_given_outputs(self, tmp_path, json_given, writers):
+        """A writer for an output the pre-flight did not check, or a given output
+        with no writer, is a programming error, and nothing is written."""
+        argv = ["power", "--scenario", "high_ph", "--out", str(tmp_path / "p.csv")]
+        ns = _build_parser().parse_args(argv + ["--json", str(tmp_path / "p.json")] * json_given)
+        with pytest.raises(AssertionError):
+            cli_module._write_file_atomic(ns, dict.fromkeys(writers, lambda path: None))
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestLinkedOutputs:
+    """An output that is a symbolic link is written through, as ``open(path, "w")``
+    would write it: the link stays, and its target gets the result and keeps its mode."""
+
+    @pytest.mark.parametrize("argv,outputs,linked", [
+        pytest.param(*case.values, name, id=f"{case.id}-{name}")
+        for case in ONE_COMMIT_COMMANDS for name in case.values[1]
+    ])
+    def test_the_link_stays_and_its_target_gets_the_result(
+        self, tmp_path, run, argv, outputs, linked
+    ):
+        manifest = tmp_path / (outputs[0] + ".manifest.json")
+        assert run(argv) == 0
+        result = (tmp_path / linked).read_bytes()
+        for name in outputs:
+            (tmp_path / name).unlink()
+        manifest.unlink()
+        target = tmp_path / "elsewhere" / "target"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        target.chmod(0o640)
+        (tmp_path / linked).symlink_to(Path("elsewhere") / "target")
+
+        assert run(argv) == 0
+        assert (tmp_path / linked).is_symlink()
+        assert target.read_bytes() == result
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert json.loads(manifest.read_text())["outputs"] == [str(tmp_path / name) for name in outputs]
+        assert [p.name for p in target.parent.iterdir()] == ["target"]
+        assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".rmwtest-")]
 
 
 class TestAssurance:
@@ -1198,3 +1295,147 @@ class TestTopLevel:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract as a property: inputs are strings of grammar words and
+# junk; a Path in an argv stands for the file of that name in a temp directory
+
+NUMBER_WORDS = ["0", "0.5", "1", "-1", "2", "1e-300", "1e300", "nan", "inf", "-0", "1_0", "١", "0x1", ".5"]
+SPEC_WORDS = [
+    "lr", "mw", "fh", "max", "rmw", "paper6", "k1", "alpha", "s*", "rho", "gamma", "all", "a", "b",
+    *BUILTIN_SCENARIOS, *"(),;=:", " ", *NUMBER_WORDS,
+]
+VALID_WEIGHTS = ["lr", "mw(0.5)", "mw(s*=0.25)", "fh(0,0.5)", "fh(rho=1,gamma=0)"]
+VALID_TESTS = st.one_of(
+    st.sampled_from(["rmw", *VALID_WEIGHTS]),
+    st.builds(
+        "max({},{};k1={!r},alpha={!r})".format, st.sampled_from(VALID_WEIGHTS),
+        st.sampled_from(VALID_WEIGHTS), st.floats(0.5, 0.99), st.floats(1e-6, 0.4999),
+    ),
+)
+
+
+def junk(words):
+    """Strings made of ``words`` and short arbitrary text."""
+    return st.lists(st.one_of(st.sampled_from(words), st.text(max_size=3)), max_size=8).map("".join)
+
+
+def tagged(valid, invalid):
+    """(value, True) drawn from ``valid`` or (value, False) drawn from ``invalid``."""
+    return st.one_of(valid.map(lambda v: (v, True)), invalid.map(lambda v: (v, False)))
+
+
+def csv_text(header, fields, width):
+    rows = st.lists(st.lists(st.one_of(st.sampled_from(fields), st.text(max_size=3)),
+                             min_size=width - 1, max_size=width + 1), max_size=6)
+    return st.tuples(st.sampled_from([header, "time,event", "x", ""]), rows).map(
+        lambda t: ("\n".join([t[0], *map(",".join, t[1])]) + "\n").encode("utf-8", "surrogatepass")
+    )
+
+
+# a scenario of at most 40 subjects, so that a power run of 100 replicates is quick
+HAZARDS = st.integers(0, 2).flatmap(lambda k: st.fixed_dictionaries({
+    "knots": st.lists(st.floats(0.1, 30.0), min_size=k, max_size=k, unique=True).map(sorted),
+    "rates": st.lists(st.floats(0.001, 1.0), min_size=k + 1, max_size=k + 1),
+}))
+TINY_SCENARIOS = st.builds(
+    lambda half, length, share, arm0, arm1: {
+        "name": "tiny", "n_total": 2 * half, "study_length": length,
+        "recruit_duration": length * share, "arm0": arm0, "arm1": arm1,
+    },
+    st.integers(1, 20), st.floats(1.0, 60.0), st.floats(0.01, 1.0), HAZARDS, HAZARDS,
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def broken(scenario):
+    """``scenario`` as JSON with a field dropped or replaced, or cut short."""
+    text = json.dumps(scenario)
+    return st.one_of(
+        st.sampled_from(list(scenario)).map(lambda k: {f: v for f, v in scenario.items() if f != k}),
+        st.tuples(st.sampled_from(list(scenario)), JSON_VALUES).map(lambda kv: {**scenario, kv[0]: kv[1]}),
+        st.tuples(st.sampled_from(["arm0", "arm1"]), st.sampled_from(["knots", "rates"]), JSON_VALUES).map(
+            lambda t: {**scenario, t[0]: {**scenario[t[0]], t[1]: t[2]}}
+        ),
+    ).map(json.dumps).map(str.encode) | st.integers(0, len(text)).map(lambda i: text[:i].encode())
+
+
+SCENARIO_FILES = tagged(
+    TINY_SCENARIOS.map(lambda s: json.dumps(s).encode()),
+    st.one_of(TINY_SCENARIOS.flatmap(broken), st.binary(max_size=20)),
+)
+VALID_POWER_CSV = (POWER_HEADER + "a,LR,0.5,0.05,100,0\na,MW,0.25,0.04,100,0\n"
+                   "b,LR,0.75,0.04,100,0\nb,MW,0.5,0.05,100,0\n")
+
+ANALYZE = st.builds(
+    lambda data, test, alpha, out: (
+        ["analyze", "--data", Path("x.csv"), "--test", test[0], *alpha[0], *out],
+        {"x.csv": data[0]}, data[1] and test[1] and alpha[1],
+    ),
+    tagged(st.just(EXAMPLE_TRIAL.read_bytes()), csv_text("time,event,arm", NUMBER_WORDS + ["", "x"], 3)),
+    tagged(VALID_TESTS, junk(SPEC_WORDS)),
+    tagged(st.just([]) | st.floats(1e-6, 0.4999).map(lambda a: ["--alpha", repr(a)]),
+           junk(NUMBER_WORDS).map(lambda text: ["--alpha", text])),
+    st.sampled_from([[], ["--out", Path("r.json")]]),
+)
+SIMULATE = st.one_of(
+    st.builds(
+        lambda name: (["simulate", "--scenario", name[0], "--out", Path("t.csv")], {}, name[1]),
+        tagged(st.sampled_from(list(BUILTIN_SCENARIOS)), junk(SPEC_WORDS)),
+    ),
+    st.builds(
+        lambda scenario, seed: (
+            ["simulate", "--scenario-file", Path("s.json"), "--seed", seed[0], "--out", Path("t.csv")],
+            {"s.json": scenario[0]}, scenario[1] and seed[1],
+        ),
+        SCENARIO_FILES, tagged(st.integers(0, 2**64 - 1).map(str), junk(NUMBER_WORDS)),
+    ),
+)
+POWER = st.builds(
+    lambda scenario, methods, json_out: (
+        ["power", "--scenario-file", Path("s.json"), "--methods", methods[0], "--reps", "100",
+         "--out", Path("p.csv"), *json_out],
+        {"s.json": scenario[0]}, scenario[1] and methods[1],
+    ),
+    SCENARIO_FILES, tagged(st.just("paper6") | VALID_TESTS, junk(SPEC_WORDS)),
+    st.sampled_from([[], ["--json", Path("p.json")]]),
+)
+ASSURANCE = st.builds(
+    lambda table, prior, method, out: (
+        ["assurance", "--in", Path("q.csv"), "--prior", prior[0], "--method", method[0], *out],
+        {"q.csv": table[0]}, table[1] and prior[1] and method[1],
+    ),
+    tagged(st.just(VALID_POWER_CSV.encode()),
+           csv_text(POWER_HEADER.strip(), ["a", "b", "LR", "MW", *NUMBER_WORDS, "100", ""], 6)),
+    tagged(st.sampled_from(["a:1.0", "b:1", "a:0.5,b:0.5", "a:0.25,b:0.75"]), junk(SPEC_WORDS)),
+    tagged(st.sampled_from(["all", "LR", "MW"]), st.text(max_size=4)),
+    st.sampled_from([[], ["--out", Path("a.json")]]),
+)
+
+
+class TestExitCodeContract:
+    """Any input exits 0, 2, 3 or 4; a failure ends in one ``error:`` line with
+    no traceback; and input generated valid exits 0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.one_of(ANALYZE, SIMULATE, POWER, ASSURANCE))
+    def test_every_input_exits_with_a_documented_code(self, case):
+        argv, files, valid = case
+        err = io.StringIO()
+        # tmp_path is made once per test, not once per example
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, content in files.items():
+                Path(tmp, name).write_bytes(content)
+            argv = [str(Path(tmp, arg)) if isinstance(arg, Path) else arg for arg in argv]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert "Traceback" not in err.getvalue()
+            assert "error:" in err.getvalue().splitlines()[-1]
+        assert code == 0 or not valid, err.getvalue()

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ndtr, ndtri
@@ -446,6 +446,38 @@ class TestComboPvalue:
     def test_weak_evidence_tops_out_at_half(self):
         spec = ComboSpec(LR, MW, 0.6)
         assert combo_pvalue(spec, -3.0, -3.0, 0.9) == 0.5
+
+
+NEAR_ONE = 1.0 - 1e-16  # rounds to the double just below 1
+Z40 = st.floats(-40.0, 40.0)
+
+
+class TestValidInputConverges:
+    """Valid input never reaches a convergence failure (``NumericalError``)."""
+
+    @given(
+        k1=st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.5, 1.0)),
+        alpha=st.floats(math.log(1e-15), math.log(0.4999)).map(math.exp),
+        rho=st.one_of(st.sampled_from([0.0, NEAR_ONE, 1.0]), st.floats(0.0, 1.0)),
+        z1=Z40, z2=Z40,
+    )
+    def test_critical_values_and_pvalue_are_finite(self, k1, alpha, rho, z1, z2):
+        try:
+            spec = ComboSpec(LR, MW, k1, alpha=alpha)
+        except ValueError:
+            assume(False)  # a share of alpha too small for a finite quantile
+        c, t1, t2 = critical_values(spec, rho)
+        assert math.isfinite(c) and math.isfinite(t1)
+        assert math.isfinite(t2) or (k1 == 1.0 and t2 == math.inf)
+        p = combo_pvalue(spec, z1, z2, rho)
+        assert math.isfinite(p) and 0.0 < p < 1.0
+
+    @given(
+        a=Z40, b=Z40,
+        rho=st.one_of(st.sampled_from([-1.0, -NEAR_ONE, NEAR_ONE, 1.0]), st.floats(-1.0, 1.0)),
+    )
+    def test_kernel_is_a_probability(self, a, b, rho):
+        assert 0.0 <= bvn_upper(a, b, rho) <= 1.0
 
 
 class TestRunComboTest:
