@@ -409,6 +409,7 @@ def _cmd_power(ns: argparse.Namespace) -> int:
             "methods": [method_to_dict(m) for m in methods],
             "pool_workers": _pool_size(ns.workers, ns.reps),
             "scenario_seconds": seconds,
+            "degenerate": {oc.scenario: oc.degenerate for oc in ocs},
         },
     )
     return 0

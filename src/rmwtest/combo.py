@@ -107,6 +107,11 @@ class ComboSpec:
         """The w2 statistic's share of ``alpha``."""
         return 1.0 - self.k1
 
+    @property
+    def components(self) -> tuple[WeightSpec, ...]:
+        """The weight specs the test reads: (w1,) when k1 = 1, else (w1, w2)."""
+        return (self.w1,) if self.k1 == 1.0 else (self.w1, self.w2)
+
 
 @dataclass(frozen=True)
 class ComboResult:
@@ -198,8 +203,10 @@ def bvn_upper(a: float, b: float, rho: float) -> float:
     normal tail over the transition band, with exact normal-tail pieces
     outside the band. Absolute error is well below 1e-10.
     """
-    if math.isnan(rho) or not -1.0 <= rho <= 1.0:
+    if not -1.0 <= rho <= 1.0:  # a NaN fails the comparison
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
+    if math.isnan(a) or math.isnan(b):
+        raise ValueError(f"limits must not be NaN, got a={a}, b={b}")
     if a == math.inf or b == math.inf:
         return 0.0
     if a == -math.inf and b == -math.inf:
@@ -294,7 +301,7 @@ def critical_values(spec: ComboSpec, correlation: float) -> tuple[float, float, 
     ComboSpec keeps each quantile q_i finite, so P(Z_i > 10 q_i) < k_i * alpha
     (on an equal split, at most 2 P(Z > 10) = 1.5e-23 in all).
     """
-    if math.isnan(correlation) or not 0.0 <= correlation <= 1.0:
+    if not 0.0 <= correlation <= 1.0:  # a NaN fails the comparison
         raise ValueError(f"correlation must lie in [0, 1], got {correlation}")
     alpha = spec.alpha
     if spec.k1 == 1.0:
@@ -305,7 +312,15 @@ def critical_values(spec: ComboSpec, correlation: float) -> tuple[float, float, 
 
 
 def _observed_tail(spec: ComboSpec, z1: float, z2: float, rho: float, alpha: float) -> float:
-    """Union tail at the observed statistics scaled onto the level-alpha threshold ray."""
+    """Union tail at the observed statistics scaled onto the level-alpha threshold ray.
+
+    Both combo_reject and combo_pvalue pass through here, so both refuse a
+    NaN statistic and a correlation outside [0, 1] with ``ValueError``.
+    """
+    if math.isnan(z1) or math.isnan(z2):
+        raise ValueError(f"statistics must not be NaN, got z1={z1}, z2={z2}")
+    if not 0.0 <= rho <= 1.0:  # a NaN fails the comparison
+        raise ValueError(f"correlation must lie in [0, 1], got {rho}")
     if spec.k1 == 1.0:
         return one_sided_p(z1)
     q1, q2 = _ray(spec, alpha)
@@ -337,8 +352,6 @@ def combo_pvalue(spec: ComboSpec, z1: float, z2: float, correlation: float) -> f
     unequal splits it is found by bisecting the rejection rule over the
     level, to absolute tolerance 1e-10, clamped to (1e-12, 0.5].
     """
-    if math.isnan(correlation) or not 0.0 <= correlation <= 1.0:
-        raise ValueError(f"correlation must lie in [0, 1], got {correlation}")
     if spec.k1 in (1.0, 0.5):
         p = _observed_tail(spec, z1, z2, correlation, spec.alpha)
         return min(max(p, 1e-300), 1.0 - 1e-16)
@@ -351,9 +364,15 @@ def combo_pvalue(spec: ComboSpec, z1: float, z2: float, correlation: float) -> f
 
 
 def run_combo_test(spec: ComboSpec, table: Sequence[RiskTableRow]) -> ComboResult:
-    """Run the full max-combo test on one risk table."""
-    (z1, z2), rhos = evaluate((spec.w1, spec.w2), ((0, 1),), rows_to_arrays(table))
-    correlation = rhos[(0, 1)]
+    """Run the full max-combo test on one risk table.
+
+    Only ``spec.components`` are evaluated, so a k1 = 1 test reads w1 alone
+    and reports its z as both z1 and z2, with correlation 1.
+    """
+    pair = (0, len(spec.components) - 1)
+    z, rhos = evaluate(spec.components, (pair,), rows_to_arrays(table))
+    z1, z2 = z[0], z[-1]
+    correlation = rhos[pair]
     c, t1, t2 = critical_values(spec, correlation)
     return ComboResult(
         z1=z1,

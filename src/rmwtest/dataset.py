@@ -146,18 +146,8 @@ def build_risk_table(time: np.ndarray, event: np.ndarray, arm: np.ndarray) -> li
     sorted strictly increasing in ``tau`` and is invariant to the subject
     order.
     """
-    arrays = risk_arrays(time, event, arm)
-    return [
-        RiskTableRow(
-            tau=float(arrays.tau[i]),
-            n_total=int(arrays.n_total[i]),
-            n_arm1=int(arrays.n_arm1[i]),
-            d_total=int(arrays.d_total[i]),
-            d_arm1=int(arrays.d_arm1[i]),
-            km_left=float(arrays.km_left[i]),
-        )
-        for i in range(len(arrays))
-    ]
+    # RiskTableRow lists its fields in the order of RiskArrays
+    return [RiskTableRow(*row) for row in zip(*(c.tolist() for c in risk_arrays(time, event, arm)))]
 
 
 def rows_to_arrays(table: Sequence[RiskTableRow]) -> RiskArrays:

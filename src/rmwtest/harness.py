@@ -4,8 +4,12 @@ of max-combo methods across scenarios, plus prior-weighted assurance.
 Every method is evaluated on the same simulated dataset within a
 replicate (common random numbers), so methods are comparable
 decision-by-decision, not just rate-by-rate. Replicates are keyed
-individually by (seed, replicate index); totals are sums of per-block
-integer counts, so the result is identical for any worker count.
+individually by (seed, replicate index), and blocks of them run in one
+process or on a worker pool; the counts are the column sums of the
+blocks' decision rows stacked in replicate order, so the result is
+identical for any worker count. A replicate whose dataset cannot support
+the tests counts as a non-rejection, and a run logs one warning per
+reason with its count and first replicate.
 """
 
 from __future__ import annotations
@@ -120,8 +124,7 @@ class _RunPlan:
                 raise ValueError(
                     f"duplicate method label {label!r}; method labels must be unique within a run"
                 )
-        # each method's component specs: (w1,) for a single test, else (w1, w2)
-        used = [(m.combo.w1,) if m.combo.k1 == 1.0 else (m.combo.w1, m.combo.w2) for m in methods]
+        used = [m.combo.components for m in methods]
         self.specs: list[WeightSpec] = list(dict.fromkeys(w for ws in used for w in ws))
         index = {spec: i for i, spec in enumerate(self.specs)}
         self.components = [(index[ws[0]], index[ws[-1]]) for ws in used]
@@ -162,11 +165,6 @@ def _decision_block(
         except (DataError, NumericalError) as exc:
             degenerate.append((rep, str(exc)))
     return rows, degenerate
-
-
-def _count_block(args) -> tuple[np.ndarray, list[tuple[int, str]]]:
-    rows, degenerate = _decision_block(*args)
-    return rows.sum(axis=0, dtype=np.int64), degenerate
 
 
 def _block_count(replicates: int) -> int:
@@ -226,14 +224,18 @@ def estimate_power(
     edges = np.linspace(0, replicates, _block_count(replicates) + 1).astype(int)
     tasks = [(scenario, plan, seed, int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
     with _worker_pool(workers, replicates) if pool is None else contextlib.nullcontext(pool) as pool:
-        blocks = list(map(_count_block, tasks) if pool is None else pool.map(_count_block, tasks))
-    counts = np.sum([block_counts for block_counts, _ in blocks], axis=0)
+        blocks = list((map if pool is None else pool.map)(_decision_block, *zip(*tasks)))
+    counts = np.concatenate([rows for rows, _ in blocks]).sum(axis=0)
     # blocks come back in order and each lists its replicates in order
     degenerate = [entry for _, block_degenerate in blocks for entry in block_degenerate]
+    reasons: dict[str, list[int]] = {}  # reason -> its replicates, first seen first
     for rep, msg in degenerate:
+        reasons.setdefault(msg, []).append(rep)
+    for msg, reps in reasons.items():
         logger.warning(
-            "replicate %d of scenario %s degenerate (%s); counted as non-rejection",
-            rep, scenario.name, msg,
+            "%d of %d replicates of scenario %s degenerate (%s), the first is replicate %d; "
+            "counted as non-rejections",
+            len(reps), replicates, scenario.name, msg, reps[0],
         )
     rates = {m.label: int(c) / replicates for m, c in zip(plan.methods, counts)}
     return OperatingCharacteristics(
@@ -340,7 +342,7 @@ def write_power_json(
     path,
     ocs: Sequence[OperatingCharacteristics],
     methods: Sequence[MethodSpec],
-    scenario_hashes: Mapping[str, str] | None = None,
+    scenario_hashes: Mapping[str, str],
 ) -> None:
     """Nested variant of the power table with method definitions inline."""
     import json
@@ -350,7 +352,7 @@ def write_power_json(
         "scenarios": [
             {
                 "name": oc.scenario,
-                "hash": (scenario_hashes or {}).get(oc.scenario),
+                "hash": scenario_hashes[oc.scenario],
                 "replicates": oc.replicates,
                 "seed": oc.seed,
                 "degenerate": oc.degenerate,

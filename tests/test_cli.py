@@ -238,6 +238,20 @@ class TestAnalyze:
             assert main(["analyze", "--data", str(path), "--test", test]) == 4
             assert "degenerate variance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "example-trial"])
+    def test_k1_one_prints_the_bytes_of_its_w1_test(self, tmp_path, capsys, tied):
+        """A k1 = 1 test reads w1 alone: fh's zero variance on the tied data
+        does not stop it, and its z2 and correlation are lr's own."""
+        path = EXAMPLE_TRIAL
+        if tied:
+            path = tmp_path / "tied.csv"
+            path.write_text("time,event,arm\n1,1,0\n1,1,0\n1,1,0\n1,1,1\n2,0,1\n2,0,1\n")
+        outs = []
+        for test in ("lr", "max(lr,fh(0,0.5);k1=1)"):
+            assert main(["analyze", "--data", str(path), "--test", test]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_paper6_is_not_a_single_test(self, trial_csv, capsys):
         assert main(["analyze", "--data", str(trial_csv), "--test", "paper6"]) == 2
 
@@ -535,6 +549,34 @@ class TestPower:
         # the results themselves carry no times
         assert "seconds" not in out.read_text() + report.read_text()
 
+    def test_degenerate_replicates_are_grouped_and_recorded(self, tmp_path):
+        """One stderr line per reason, and the manifest's counts are the
+        report's; a scenario with none records 0."""
+        spath, out, report = tmp_path / "tiny.json", tmp_path / "p.csv", tmp_path / "p.json"
+        rate = {"knots": [], "rates": [0.1]}
+        spath.write_text(scenario_json(
+            name="tiny", n_total=2, study_length=1.0, recruit_duration=1.0, arm0=rate, arm1=rate,
+        ))
+        argv = ["power", "--scenario-file", str(spath), "--methods", "lr", "--reps", "100",
+                "--out", str(out), "--json", str(report)]
+        code = f"import sys; from rmwtest import cli; sys.exit(cli.main({argv!r}))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2, lines
+        pattern = (r"(\d+) of 100 replicates of scenario tiny degenerate \((no events|degenerate variance)\), "
+                   r"the first is replicate \d+; counted as non-rejections")
+        matches = [re.fullmatch(pattern, line) for line in lines]
+        assert all(matches), lines
+        assert [m[2] for m in matches] == ["no events", "degenerate variance"]
+        manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+        assert manifest["degenerate"] == {"tiny": 90} == {"tiny": sum(int(m[1]) for m in matches)}
+        assert {s["name"]: s["degenerate"] for s in json.loads(report.read_text())["scenarios"]} == {"tiny": 90}
+        assert main([
+            "power", "--scenario", "high_ph", "--methods", "lr", "--reps", "100", "--out", str(out),
+        ]) == 0
+        assert json.loads((tmp_path / "p.csv.manifest.json").read_text())["degenerate"] == {"high_ph": 0}
+
     @pytest.mark.parametrize("scenario,reps,workers,pools", [
         pytest.param("all", "200", "2", [2], id="one-pool"),
         pytest.param("all", "200", "1", [], id="one-worker"),
@@ -568,8 +610,8 @@ class TestPower:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         real_estimate = cli_module.estimate_power
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from rmwtest.combo import (
     union_tail,
 )
 from rmwtest.dataset import build_risk_table, risk_arrays
-from rmwtest.errors import NumericalError
-from rmwtest.harness import _RunPlan, paper_methods
+from rmwtest.errors import DataError, NumericalError
+from rmwtest.harness import MethodSpec, _replicate_row, _RunPlan, paper_methods
 from rmwtest.simulator import BUILTIN_SCENARIOS, simulate_trial
 from rmwtest.weights import WeightSpec, weights_from_km_left
 
@@ -77,6 +78,12 @@ class TestComboSpec:
     def test_single_test_encoding(self):
         spec = ComboSpec(LR, LR, k1=1.0)
         assert spec.k2 == 0.0
+
+    def test_components_are_w1_alone_at_k1_one(self):
+        assert ComboSpec(LR, MW, k1=1.0).components == (LR,)
+        assert ComboSpec(LR, LR, k1=1.0).components == (LR,)
+        assert ComboSpec(LR, MW, k1=0.6).components == (LR, MW)
+        assert ComboSpec(LR, LR).components == (LR, LR)
 
     @pytest.mark.parametrize(
         "k1, alpha",
@@ -448,6 +455,48 @@ class TestComboPvalue:
         assert combo_pvalue(spec, -3.0, -3.0, 0.9) == 0.5
 
 
+SPLITS = [0.5, 0.6, 1.0]  # equal, unequal and single-test rules
+
+
+class TestEntriesRefuseTheSameInputs:
+    """combo_reject, combo_pvalue, critical_values and bvn_upper refuse what
+    the rule cannot read, with ValueError, rather than answer for some."""
+
+    @pytest.mark.parametrize("k1", SPLITS)
+    @pytest.mark.parametrize("rho", [-0.5, 1.5, math.nan])
+    @pytest.mark.parametrize("entry", [
+        pytest.param(lambda spec, rho: combo_reject(spec, 2.0, 2.0, rho), id="combo_reject"),
+        pytest.param(lambda spec, rho: combo_pvalue(spec, 2.0, 2.0, rho), id="combo_pvalue"),
+        pytest.param(critical_values, id="critical_values"),
+    ])
+    def test_correlation_outside_unit_interval(self, entry, rho, k1):
+        with pytest.raises(ValueError, match=r"correlation must lie in \[0, 1\]"):
+            entry(ComboSpec(LR, MW, k1), rho)
+
+    @pytest.mark.parametrize("k1", SPLITS)
+    @pytest.mark.parametrize("z1, z2", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.inf)])
+    @pytest.mark.parametrize("entry", [combo_reject, combo_pvalue])
+    def test_nan_statistic(self, entry, z1, z2, k1):
+        with pytest.raises(ValueError, match="statistics must not be NaN"):
+            entry(ComboSpec(LR, MW, k1), z1, z2, 0.5)
+
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.0), (0.0, math.nan), (math.nan, -math.inf)])
+    def test_kernel_refuses_nan_limits(self, a, b, rho):
+        with pytest.raises(ValueError, match="limits must not be NaN"):
+            bvn_upper(a, b, rho)
+
+    @pytest.mark.parametrize("k1, p_inf, p_minus_inf", [
+        (0.5, 1e-300, 1.0 - 1e-16), (0.6, 1e-12, 0.5), (1.0, 1e-300, 1.0 - 1e-16),
+    ])
+    def test_infinite_statistics_keep_their_results(self, k1, p_inf, p_minus_inf):
+        spec = ComboSpec(LR, MW, k1)
+        assert combo_reject(spec, math.inf, -math.inf, 0.5)
+        assert combo_pvalue(spec, math.inf, -math.inf, 0.5) == p_inf
+        assert not combo_reject(spec, -math.inf, -math.inf, 0.5)
+        assert combo_pvalue(spec, -math.inf, -math.inf, 0.5) == p_minus_inf
+
+
 NEAR_ONE = 1.0 - 1e-16  # rounds to the double just below 1
 Z40 = st.floats(-40.0, 40.0)
 
@@ -523,6 +572,26 @@ WEIGHT_SPECS = st.one_of(
         st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
     ),
 )
+
+
+class TestSingleTestReadsW1Alone:
+    """A k1 = 1 test is its w1 test wherever it runs, whatever its w2."""
+
+    @given(w1=WEIGHT_SPECS, w2=WEIGHT_SPECS, seed=st.integers(0, 2**32 - 1))
+    def test_analyze_and_harness_agree(self, w1, w2, seed):
+        time, event, arm = random_dataset(np.random.default_rng(seed))
+        spec = ComboSpec(w1, w2, k1=1.0)
+        plan = _RunPlan([MethodSpec("m", spec)])
+        table = build_risk_table(time, event, arm)
+        try:
+            row = _replicate_row(plan, time, event, arm)
+        except (DataError, NumericalError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                run_combo_test(spec, table)
+            return
+        res = run_combo_test(spec, table)
+        assert res.reject == row[0]
+        assert res == run_combo_test(ComboSpec(w1, w1, k1=1.0), table)
 
 
 class TestStatisticCoreInvariants:

@@ -1,5 +1,6 @@
 """Tests for subject columns, risk-table construction, and CSV I/O."""
 
+import dataclasses
 import math
 import re
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rmwtest.dataset import (
+    RiskArrays,
     RiskTableRow,
     build_risk_table,
     parse_number,
@@ -165,6 +167,21 @@ class TestRiskTable:
         assert scaled.tau.tobytes() == (base.tau * 2.0**power).tobytes()
         for col, other in zip(base[1:], scaled[1:]):
             assert col.tobytes() == other.tobytes()
+
+    def test_row_fields_follow_the_columns(self):
+        """build_risk_table fills each row positionally from the columns."""
+        assert RiskArrays._fields == tuple(f.name for f in dataclasses.fields(RiskTableRow))
+
+    def test_rows_equal_the_per_cell_conversion(self):
+        """Each row holds the Python float or int that float() or int() of
+        its column's cell gives."""
+        columns = simulate_trial(BUILTIN_SCENARIOS["high_delayed"], seed=2)
+        arrays = risk_arrays(*columns)
+        kinds = (float, int, int, int, int, float)
+        want = [RiskTableRow(*(kind(col[i]) for kind, col in zip(kinds, arrays))) for i in range(len(arrays))]
+        got = build_risk_table(*columns)
+        assert got == want
+        assert all(tuple(map(type, dataclasses.astuple(row))) == kinds for row in got)
 
     def test_rows_round_trip(self):
         table = build_risk_table(EX_TIME, EX_EVENT, EX_ARM)

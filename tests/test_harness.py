@@ -78,10 +78,10 @@ class TestEstimatePower:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected_before_any_block(self, monkeypatch, seed):
-        def no_blocks(args):
+        def no_blocks(*args):
             raise AssertionError("a block ran")
 
-        monkeypatch.setattr(harness_module, "_count_block", no_blocks)
+        monkeypatch.setattr(harness_module, "_decision_block", no_blocks)
         with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
             estimate_power(MINI, paper_methods(), replicates=100, seed=seed)
 
@@ -189,8 +189,8 @@ class TestEstimatePower:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         methods = paper_methods()[:1]
         serial = estimate_power(MINI, methods, replicates, seed=3)
@@ -210,10 +210,10 @@ class TestEstimatePower:
                 raise AssertionError("estimate_power built a pool of its own")
 
         class CallersPool:
-            def map(self, fn, items):
-                items = list(items)
+            def map(self, fn, *iterables):
+                items = list(zip(*iterables))
                 tasks.extend(items)
-                return map(fn, items)
+                return map(fn, *zip(*items))
 
         methods = paper_methods()[:1]
         serial = estimate_power(MINI, methods, replicates, seed=3)
@@ -232,6 +232,16 @@ class TestEstimatePower:
         assert oc.degenerate == 100
         assert all(rate == 0.0 for rate in oc.rates.values())
         assert any("non-rejection" in r.message for r in caplog.records)
+
+    def test_one_warning_per_reason(self, caplog):
+        h = PiecewiseHazard(knots=(), rates=(1e-12,))
+        idle = Scenario("idle", 20, 24.0, 6.0, h, h)
+        with caplog.at_level(logging.WARNING, logger="rmwtest.harness"):
+            estimate_power(idle, paper_methods(), replicates=300, seed=0, workers=2)
+        assert [r.getMessage() for r in caplog.records] == [
+            "300 of 300 replicates of scenario idle degenerate (no events), the first is "
+            "replicate 0; counted as non-rejections"
+        ]
 
     def test_intermediate_split_lands_between_components(self):
         """With common random numbers the 0.6/0.4 split should track between
