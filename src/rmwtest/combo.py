@@ -3,7 +3,7 @@
 Covers the one statistic core that analyze and the power harness share:
 the hypergeometric null moments of the arm-1 event count at each event
 time, the weighted statistic (g, variance, z) of several weight specs on
-one risk table and the null correlation of each pair; then upper-tail
+one risk table and each test's (z1, z2, correlation); then upper-tail
 probabilities of the standard bivariate normal, critical values for equal
 and unequal alpha splits, the rejection decision, and the max-combo
 p-value.
@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -109,8 +110,9 @@ class ComboSpec:
 
     @property
     def components(self) -> tuple[WeightSpec, ...]:
-        """The weight specs the test reads: (w1,) when k1 = 1, else (w1, w2)."""
-        return (self.w1,) if self.k1 == 1.0 else (self.w1, self.w2)
+        """The weight specs the test reads: (w1,) when k1 = 1 or w2 == w1,
+        else (w1, w2); an equal-weight combo reads its one weight once."""
+        return (self.w1,) if self.k1 == 1.0 or self.w2 == self.w1 else (self.w1, self.w2)
 
 
 @dataclass(frozen=True)
@@ -247,24 +249,27 @@ def union_tail(t1: float, t2: float, rho: float) -> float:
 
 
 def evaluate(
-    specs: Sequence[WeightSpec], pairs: Iterable[tuple[int, int]], risk: RiskArrays
-) -> tuple[list[float], dict[tuple[int, int], float]]:
-    """The z of each weight spec on one risk table, and the null correlation
-    of each requested pair ``(i, j)`` of indices into ``specs``.
+    specs: Sequence[WeightSpec], tests: Sequence[tuple[int, int]], risk: RiskArrays
+) -> list[tuple[float, float, float]]:
+    """(z1, z2, correlation) on one risk table of each test ``(i, j)``, a pair
+    of indices into ``specs``. Each spec's z and each distinct pair's
+    correlation is computed once; a test (i, i) has correlation 1, unsummed.
 
     A correlation is the weighted cross-sum of per-time null variances over
-    the geometric mean of the two component variances. Every weight family
-    and every null variance is >= 0, so the exactly rounded cross-sum is too;
-    rounding can put the quotient just above 1, hence the cap.
+    the geometric mean of the two component variances: the root of their
+    product, or the product of their roots where the product underflows.
+    Every weight and null variance is >= 0, so the exactly rounded cross-sum
+    is too; rounding can put the quotient just above 1, hence the cap.
     """
     mean, var = moment_arrays(risk)
     w = [weights_from_km_left(spec, risk.km_left) for spec in specs]
     stats = [statistic_from_arrays(wi, risk, mean, var) for wi in w]
-    rho = {
-        (i, j): min(_acc_sum(w[i] * w[j] * var) / math.sqrt(stats[i][1] * stats[j][1]), 1.0)
-        for i, j in pairs
-    }
-    return [z for _, _, z in stats], rho
+    rho = {}
+    for i, j in dict.fromkeys(t for t in tests if t[0] != t[1]):
+        (_, vi, _), (_, vj, _) = stats[i], stats[j]
+        root = math.sqrt(vi * vj) if vi * vj >= sys.float_info.min else math.sqrt(vi) * math.sqrt(vj)
+        rho[i, j] = min(_acc_sum(w[i] * w[j] * var) / root, 1.0)
+    return [(stats[i][2], stats[j][2], rho.get((i, j), 1.0)) for i, j in tests]
 
 
 def _ray(spec: ComboSpec, alpha: float) -> tuple[float, float]:
@@ -350,12 +355,14 @@ def combo_pvalue(spec: ComboSpec, z1: float, z2: float, correlation: float) -> f
     For single tests and the equal split the threshold ray does not depend
     on the level, so this is the union tail at the observed statistics; for
     unequal splits it is found by bisecting the rejection rule over the
-    level, to absolute tolerance 1e-10, clamped to (1e-12, 0.5].
+    level, to absolute tolerance 1e-10, clamped to [lo, 0.5] with
+    lo = max(1e-12, 2**-53 / k2): below lo the w2 share k2 * level rounds
+    1 - share to 1, and its quantile would be infinite.
     """
     if spec.k1 in (1.0, 0.5):
         p = _observed_tail(spec, z1, z2, correlation, spec.alpha)
         return min(max(p, 1e-300), 1.0 - 1e-16)
-    lo, hi = 1e-12, 0.5
+    lo, hi = max(1e-12, 2.0**-53 / spec.k2), 0.5
     if _rejects(spec, z1, z2, correlation, lo):
         return lo
     if not _rejects(spec, z1, z2, correlation, hi):
@@ -366,13 +373,12 @@ def combo_pvalue(spec: ComboSpec, z1: float, z2: float, correlation: float) -> f
 def run_combo_test(spec: ComboSpec, table: Sequence[RiskTableRow]) -> ComboResult:
     """Run the full max-combo test on one risk table.
 
-    Only ``spec.components`` are evaluated, so a k1 = 1 test reads w1 alone
-    and reports its z as both z1 and z2, with correlation 1.
+    Only ``spec.components`` are evaluated, so a k1 = 1 test or an
+    equal-weight combo reads w1 alone: its z is both z1 and z2, with
+    correlation 1.
     """
-    pair = (0, len(spec.components) - 1)
-    z, rhos = evaluate(spec.components, (pair,), rows_to_arrays(table))
-    z1, z2 = z[0], z[-1]
-    correlation = rhos[pair]
+    ws = spec.components
+    (z1, z2, correlation), = evaluate(ws, [(0, len(ws) - 1)], rows_to_arrays(table))
     c, t1, t2 = critical_values(spec, correlation)
     return ComboResult(
         z1=z1,

@@ -111,9 +111,10 @@ class AssuranceSpec:
 class _RunPlan:
     """Precompiled evaluation plan shared by all replicates of a run.
 
-    Deduplicates weight specs across methods so each distinct component
-    statistic and each distinct component pair's correlation is computed
-    once per dataset.
+    Deduplicates weight specs across methods and turns each method into one
+    test, an index pair into ``specs``, so that evaluate computes each
+    distinct component statistic and each distinct pair's correlation once
+    per dataset.
     """
 
     def __init__(self, methods: Sequence[MethodSpec]):
@@ -128,20 +129,12 @@ class _RunPlan:
         self.specs: list[WeightSpec] = list(dict.fromkeys(w for ws in used for w in ws))
         index = {spec: i for i, spec in enumerate(self.specs)}
         self.components = [(index[ws[0]], index[ws[-1]]) for ws in used]
-        self.pairs = tuple(dict.fromkeys((i, j) for i, j in self.components if i != j))
 
 
 def _replicate_row(plan: _RunPlan, time, event, arm) -> np.ndarray:
     """Rejection decisions of every method on one dataset."""
-    z, rho = evaluate(plan.specs, plan.pairs, risk_arrays(time, event, arm))
-    row = np.empty(len(plan.methods), dtype=bool)
-    for m, method in enumerate(plan.methods):
-        i, j = plan.components[m]
-        # identical components are perfectly correlated; single tests (i == j
-        # with k1 = 1) never read the correlation
-        r = rho[(i, j)] if i != j else 1.0
-        row[m] = combo_reject(method.combo, z[i], z[j], r)
-    return row
+    stats = evaluate(plan.specs, plan.components, risk_arrays(time, event, arm))
+    return np.array([combo_reject(m.combo, *s) for m, s in zip(plan.methods, stats)], dtype=bool)
 
 
 def _decision_block(

@@ -245,7 +245,7 @@ class TestCriterion4OracleEquivalence:
             worst_z = max(worst_z, abs(run_combo_test(ComboSpec(LR, LR, k1=1.0), table).z1 - z_o))
             for spec, oracle_fn in ((MW, mw_oracle), (FH, fh_oracle)):
                 try:
-                    rho = evaluate((LR, spec), [(0, 1)], risk_arrays(time, event, arm))[1][(0, 1)]
+                    rho = evaluate((LR, spec), [(0, 1)], risk_arrays(time, event, arm))[0][2]
                 except NumericalError:
                     continue
                 rho_o = correlation_oracle(time, event, arm, constant_weight, oracle_fn)

@@ -252,6 +252,41 @@ class TestAnalyze:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
+    def test_equal_weight_combo_reads_its_weight_once(self, capsys):
+        """fh(0,400) has a positive variance whose square underflows on the
+        example trial. Alone or as max(w,w) it reads w once, with correlation
+        1; the two differ only in their critical values, since an equal split
+        bisects c where a single test takes ndtri(1 - alpha)."""
+        outs = []
+        for test in ("fh(0,400)", "max(fh(0,400),fh(0,400))"):
+            assert main(["analyze", "--data", str(EXAMPLE_TRIAL), "--test", test]) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        single, combo = outs
+        assert single["z2"] == single["z1"] and single["correlation"] == 1.0
+        for payload in outs:
+            del payload["c"], payload["threshold1"], payload["threshold2"]
+        assert combo == single
+
+    @pytest.mark.parametrize("test, correlation", [
+        ("fh(0,370)", 1.0),
+        # the product of the two variances underflows; the product of their roots does not
+        ("max(fh(0,370),fh(0,380))", 0.9999998689559185),
+    ])
+    def test_heavy_fh_correlation(self, capsys, test, correlation):
+        assert main(["analyze", "--data", str(EXAMPLE_TRIAL), "--test", test]) == 0
+        assert json.loads(capsys.readouterr().out)["correlation"] == correlation
+
+    def test_near_one_k1_on_a_harmful_trial_clamps_the_pvalue(self, tmp_path, capsys):
+        """With the arms swapped no level rejects, and the p-value bisection
+        never reaches a level where w2's quantile is infinite."""
+        header, *rows = EXAMPLE_TRIAL.read_text().splitlines()
+        path = tmp_path / "flipped.csv"
+        path.write_text("\n".join([header, *(r[:-1] + str(1 - int(r[-1])) for r in rows)]) + "\n")
+        test = "max(lr,mw(0.5);k1=0.99999)"
+        assert main(["analyze", "--data", str(path), "--test", test]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["p_value"] == 0.5 and payload["reject"] is False
+
     def test_paper6_is_not_a_single_test(self, trial_csv, capsys):
         assert main(["analyze", "--data", str(trial_csv), "--test", "paper6"]) == 2
 
@@ -461,6 +496,16 @@ class TestPower:
         manifest = json.loads((tmp_path / "power.csv.manifest.json").read_text())
         assert manifest["outputs"] == [str(out), str(jout)]
         assert manifest["config"]["reps"] == 100
+
+    def test_heavy_fh_pair_decides(self, tmp_path):
+        """Variances whose product underflows still give a correlation, so
+        no replicate is lost to it."""
+        out, jout = tmp_path / "power.csv", tmp_path / "power.json"
+        assert main([
+            "power", "--scenario", "high_delayed", "--methods", "max(fh(0,400),fh(0,420))",
+            "--reps", "100", "--out", str(out), "--json", str(jout),
+        ]) == 0
+        assert json.loads(jout.read_text())["scenarios"][0]["degenerate"] == 0
 
     def test_rmw_runs_its_expansion(self, tmp_path):
         out = tmp_path / "power.csv"

@@ -3,10 +3,11 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ndtr, ndtri
@@ -26,7 +27,7 @@ from rmwtest.combo import (
     statistic_from_arrays,
     union_tail,
 )
-from rmwtest.dataset import build_risk_table, risk_arrays
+from rmwtest.dataset import build_risk_table, read_survival_csv, risk_arrays
 from rmwtest.errors import DataError, NumericalError
 from rmwtest.harness import MethodSpec, _replicate_row, _RunPlan, paper_methods
 from rmwtest.simulator import BUILTIN_SCENARIOS, simulate_trial
@@ -46,6 +47,7 @@ from oracles import (
 LR = WeightSpec.constant()
 MW = WeightSpec.modest(0.5)
 FH = WeightSpec.fleming_harrington(0, 0.5)
+EXAMPLE_TRIAL = Path(__file__).resolve().parents[1] / "data" / "example_trial.csv"
 
 
 class TestComboSpec:
@@ -83,7 +85,8 @@ class TestComboSpec:
         assert ComboSpec(LR, MW, k1=1.0).components == (LR,)
         assert ComboSpec(LR, LR, k1=1.0).components == (LR,)
         assert ComboSpec(LR, MW, k1=0.6).components == (LR, MW)
-        assert ComboSpec(LR, LR).components == (LR, LR)
+        assert ComboSpec(LR, LR).components == (LR,)
+        assert ComboSpec(MW, MW, k1=0.6).components == (MW,)
 
     @pytest.mark.parametrize(
         "k1, alpha",
@@ -266,7 +269,7 @@ class TestQuadratureBits:
 
 def pair_correlation(w1, w2, columns):
     """The null correlation of one pair of weight specs, as evaluate gives it."""
-    return evaluate((w1, w2), [(0, 1)], risk_arrays(*columns))[1][(0, 1)]
+    return evaluate((w1, w2), [(0, 1)], risk_arrays(*columns))[0][2]
 
 
 class TestNullCorrelation:
@@ -290,6 +293,17 @@ class TestNullCorrelation:
                     continue
                 want = correlation_oracle(time, event, arm, f1, f2)
                 assert_allclose(got, want, atol=1e-12)
+
+    def test_variances_whose_product_underflows(self):
+        """Two heavy FH weights on the example trial have variances whose
+        product underflows; the oracle, on weights scaled by 2**400, does not."""
+        columns = read_survival_csv(EXAMPLE_TRIAL)
+        got = pair_correlation(
+            WeightSpec.fleming_harrington(0, 370), WeightSpec.fleming_harrington(0, 380), columns
+        )
+        scaled = [lambda km, f=fleming_harrington_weight(0, g): f(km) * 2.0**400 for g in (370, 380)]
+        assert_allclose(got, correlation_oracle(*columns, *scaled), rtol=0, atol=1e-12)
+        assert got < 1.0
 
     def test_nonnegative_for_supported_families(self):
         columns = simulate_trial(BUILTIN_SCENARIOS["high_delayed"], seed=12)
@@ -510,6 +524,7 @@ class TestValidInputConverges:
         rho=st.one_of(st.sampled_from([0.0, NEAR_ONE, 1.0]), st.floats(0.0, 1.0)),
         z1=Z40, z2=Z40,
     )
+    @example(k1=0.99999, alpha=math.exp(-1.0), rho=0.0, z1=0.0, z2=0.0)
     def test_critical_values_and_pvalue_are_finite(self, k1, alpha, rho, z1, z2):
         try:
             spec = ComboSpec(LR, MW, k1, alpha=alpha)
@@ -520,6 +535,14 @@ class TestValidInputConverges:
         assert math.isfinite(t2) or (k1 == 1.0 and t2 == math.inf)
         p = combo_pvalue(spec, z1, z2, rho)
         assert math.isfinite(p) and 0.0 < p < 1.0
+
+    @pytest.mark.parametrize("k1", [0.99999, 0.9999999])
+    def test_pvalue_bisection_keeps_w2_quantile_finite(self, k1):
+        """Below 2**-53 / k2 a level would give w2 an infinite quantile; the
+        bisection starts there, and a test that never rejects gets 0.5."""
+        spec = ComboSpec(LR, MW, k1, alpha=0.025)
+        assert combo_pvalue(spec, 0.0, 0.0, 0.0) == 0.5
+        assert combo_pvalue(spec, 40.0, 0.0, 0.5) == 2.0**-53 / spec.k2
 
     @given(
         a=Z40, b=Z40,
@@ -574,24 +597,52 @@ WEIGHT_SPECS = st.one_of(
 )
 
 
+# variances positive, but their squares underflow on random_dataset(seed 1
+# and 22): each test (i, i) must still get its correlation of 1
+FH400 = WeightSpec.fleming_harrington(0, 400)
+FH370 = WeightSpec.fleming_harrington(0, 370)
+
+
+def analyze_where_harness_runs(spec, seed):
+    """(run_combo_test's result, risk table) for a spec that reads w1 alone,
+    on random_dataset(seed): it raises exactly when _replicate_row does, and
+    otherwise reaches its decision with z2 equal to z1 and correlation 1.
+    None when both raise."""
+    time, event, arm = random_dataset(np.random.default_rng(seed))
+    table = build_risk_table(time, event, arm)
+    try:
+        row = _replicate_row(_RunPlan([MethodSpec("m", spec)]), time, event, arm)
+    except (DataError, NumericalError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            run_combo_test(spec, table)
+        return None
+    res = run_combo_test(spec, table)
+    assert res.reject == row[0]
+    assert res.z2 == res.z1 and res.correlation == 1.0
+    return res, table
+
+
 class TestSingleTestReadsW1Alone:
     """A k1 = 1 test is its w1 test wherever it runs, whatever its w2."""
 
     @given(w1=WEIGHT_SPECS, w2=WEIGHT_SPECS, seed=st.integers(0, 2**32 - 1))
+    @example(w1=FH400, w2=LR, seed=1)
+    @example(w1=FH370, w2=MW, seed=22)
     def test_analyze_and_harness_agree(self, w1, w2, seed):
-        time, event, arm = random_dataset(np.random.default_rng(seed))
-        spec = ComboSpec(w1, w2, k1=1.0)
-        plan = _RunPlan([MethodSpec("m", spec)])
-        table = build_risk_table(time, event, arm)
-        try:
-            row = _replicate_row(plan, time, event, arm)
-        except (DataError, NumericalError) as exc:
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                run_combo_test(spec, table)
-            return
-        res = run_combo_test(spec, table)
-        assert res.reject == row[0]
-        assert res == run_combo_test(ComboSpec(w1, w1, k1=1.0), table)
+        ran = analyze_where_harness_runs(ComboSpec(w1, w2, k1=1.0), seed)
+        if ran is not None:
+            res, table = ran
+            assert res == run_combo_test(ComboSpec(w1, w1, k1=1.0), table)
+
+
+class TestEqualWeightComboReadsItsWeightOnce:
+    """max(w, w) reads w once, in analyze and in the harness, with correlation 1."""
+
+    @given(w=WEIGHT_SPECS, k1=st.sampled_from([0.5, 0.6]), seed=st.integers(0, 2**32 - 1))
+    @example(w=FH400, k1=0.5, seed=1)
+    @example(w=FH370, k1=0.6, seed=22)
+    def test_analyze_and_harness_agree(self, w, k1, seed):
+        analyze_where_harness_runs(ComboSpec(w, w, k1), seed)
 
 
 class TestStatisticCoreInvariants:
@@ -605,14 +656,22 @@ class TestStatisticCoreInvariants:
             assert (weights_from_km_left(spec, risk.km_left) >= 0.0).all(), spec
         pairs = [(i, j) for i in range(len(specs)) for j in range(i + 1, len(specs))]
         try:
-            _, rho = evaluate(specs, pairs, risk)
+            stats = evaluate(specs, pairs, risk)
         except NumericalError:  # a weight vector with zero variance on this table
             return
-        assert set(rho) == set(pairs)
-        assert all(0.0 <= r <= 1.0 for r in rho.values()), rho
+        for (i, j), (_, _, r) in zip(pairs, stats, strict=True):
+            assert 0.0 <= r <= 1.0, (specs[i], specs[j], r)
 
-    def test_paper_plan_shares_specs_and_pairs(self):
+    def test_paper_plan_shares_specs_and_pairs(self, monkeypatch):
         plan = _RunPlan(paper_methods())
         assert plan.specs == [LR, MW, FH]
         assert plan.components == [(0, 0), (1, 1), (0, 1), (0, 1), (2, 2), (0, 2)]
-        assert plan.pairs == ((0, 1), (0, 2))
+        sums = []
+        acc_sum = combo_module._acc_sum
+        monkeypatch.setattr(combo_module, "_acc_sum", lambda v: sums.append(v.size) or acc_sum(v))
+        risk = risk_arrays(*simulate_trial(BUILTIN_SCENARIOS["high_delayed"], seed=1))
+        stats = evaluate(plan.specs, plan.components, risk)
+        # g and variance of 3 specs, and the cross-sums of (0, 1) and (0, 2)
+        assert len(sums) == 3 * 2 + 2
+        assert [r for _, _, r in stats][:2] == [1.0, 1.0]
+        assert stats[2] == stats[3] and stats[4][2] == 1.0
