@@ -36,9 +36,38 @@ _FAR_X = 12.5     # |x| beyond which phi(x) mass is negligible at any tolerance 
 _QUAD_TOL = 1e-13
 
 
-def _acc_sum(values: np.ndarray) -> float:
-    # exactly-rounded accumulation, taken in ascending-tau order
-    return math.fsum(values.tolist())
+def _row_sums(x: np.ndarray) -> list[float]:
+    """``math.fsum`` of each row of a 2-D float64 array, bit for bit.
+
+    Every nonzero value is an integer multiple of 2**e_lo, the last bit of a
+    53-bit mantissa at the smallest nonzero magnitude, so x / 2**e_lo holds
+    integers below 2**bits. They are cut from the top into limbs of
+    ``53 - T.bit_length()`` bits, T the row length, so a row's sum of one
+    limb stays below 2**53 and numpy sums it exactly in any order. A row's
+    limb sums make its exact sum as a Python int, which one correctly
+    rounded int division turns into the float fsum returns. Fallbacks: all
+    rows go to ``math.fsum`` when no value is nonzero, when a magnitude is
+    not below 2**960 (inf and NaN included), or when the span exceeds 1000
+    bits, which keeps x / 2**e_lo finite; a row whose exact sum is 0 goes to
+    it too, so the sign of zero is fsum's.
+    """
+    a = np.abs(x)
+    top = float(a.max(initial=0.0))
+    low = float(np.min(a, where=a > 0.0, initial=math.inf))
+    e_lo = math.frexp(low)[1] - 53
+    bits = math.frexp(top)[1] - e_lo
+    if not top < 2.0**960 or low == math.inf or bits > 1000:
+        return [math.fsum(row) for row in x.tolist()]
+    y = np.ldexp(x, -e_lo)
+    limb = 53 - x.shape[1].bit_length()
+    totals = [0] * len(x)
+    for shift in range(limb * ((bits - 1) // limb), 0, -limb):
+        d = np.trunc(y * 2.0**-shift)
+        y -= d * 2.0**shift
+        totals = [(t << limb) + int(s) for t, s in zip(totals, d.sum(axis=1).tolist())]
+    totals = [(t << limb) + int(s) for t, s in zip(totals, y.sum(axis=1).tolist())]
+    num, den = max(e_lo, 0), 1 << max(-e_lo, 0)
+    return [(t << num) / den if t else math.fsum(row) for t, row in zip(totals, x)]
 
 
 def moment_arrays(risk: RiskArrays) -> tuple[np.ndarray, np.ndarray]:
@@ -56,19 +85,30 @@ def moment_arrays(risk: RiskArrays) -> tuple[np.ndarray, np.ndarray]:
 
 
 def statistic_from_arrays(
-    w: np.ndarray, risk: RiskArrays, mean: np.ndarray, var: np.ndarray
-) -> tuple[float, float, float]:
-    """(g, variance, z) for one weight vector over a columnar risk table.
+    w: np.ndarray, risk: RiskArrays, mean: np.ndarray, var: np.ndarray, pairs: Sequence[tuple[int, int]]
+) -> tuple[list[tuple[float, float, float]], list[float]]:
+    """(g, variance, z) of each row of the (k, T) weight matrix ``w`` over a
+    columnar risk table, and the cross-sum of w_i * w_j * var of each index
+    pair ``(i, j)`` in ``pairs``: all 2k + len(pairs) sums in one exact pass.
 
     Zero-variance rows (risk sets of size one) still contribute their
     weighted observed-minus-expected term to ``g``. A zero total variance
     raises NumericalError("degenerate variance").
     """
-    g = _acc_sum(w * (risk.d_arm1 - mean))
-    variance = _acc_sum(w * w * var)
-    if variance <= 0.0:
-        raise NumericalError("degenerate variance")
-    return g, variance, -g / math.sqrt(variance)
+    k = len(w)
+    terms = np.empty((2 * k + len(pairs), w.shape[1]))
+    np.multiply(w, risk.d_arm1 - mean, out=terms[:k])
+    np.multiply(w, w, out=terms[k : 2 * k])
+    for row, (i, j) in enumerate(pairs, 2 * k):
+        np.multiply(w[i], w[j], out=terms[row])
+    terms[k:] *= var
+    sums = _row_sums(terms)
+    stats = []
+    for g, variance in zip(sums[:k], sums[k : 2 * k]):
+        if variance <= 0.0:
+            raise NumericalError("degenerate variance")
+        stats.append((g, variance, -g / math.sqrt(variance)))
+    return stats, sums[2 * k :]
 
 
 def one_sided_p(z: float) -> float:
@@ -253,7 +293,8 @@ def evaluate(
 ) -> list[tuple[float, float, float]]:
     """(z1, z2, correlation) on one risk table of each test ``(i, j)``, a pair
     of indices into ``specs``. Each spec's z and each distinct pair's
-    correlation is computed once; a test (i, i) has correlation 1, unsummed.
+    correlation is computed once, all from one exact pass over the stacked
+    weights (statistic_from_arrays); a test (i, i) has correlation 1, unsummed.
 
     A correlation is the weighted cross-sum of per-time null variances over
     the geometric mean of the two component variances: the root of their
@@ -262,13 +303,14 @@ def evaluate(
     is too; rounding can put the quotient just above 1, hence the cap.
     """
     mean, var = moment_arrays(risk)
-    w = [weights_from_km_left(spec, risk.km_left) for spec in specs]
-    stats = [statistic_from_arrays(wi, risk, mean, var) for wi in w]
+    w = np.array([weights_from_km_left(spec, risk.km_left) for spec in specs])
+    pairs = list(dict.fromkeys(t for t in tests if t[0] != t[1]))
+    stats, cross = statistic_from_arrays(w, risk, mean, var, pairs)
     rho = {}
-    for i, j in dict.fromkeys(t for t in tests if t[0] != t[1]):
-        (_, vi, _), (_, vj, _) = stats[i], stats[j]
+    for (i, j), c in zip(pairs, cross):
+        vi, vj = stats[i][1], stats[j][1]
         root = math.sqrt(vi * vj) if vi * vj >= sys.float_info.min else math.sqrt(vi) * math.sqrt(vj)
-        rho[i, j] = min(_acc_sum(w[i] * w[j] * var) / root, 1.0)
+        rho[i, j] = min(c / root, 1.0)
     return [(stats[i][2], stats[j][2], rho.get((i, j), 1.0)) for i, j in tests]
 
 

@@ -55,7 +55,7 @@ class PiecewiseHazard:
     def cumulative_hazard(self, t):
         """Integrated hazard at time(s) t >= 0."""
         t_arr = np.asarray(t, dtype=np.float64)
-        if np.any(t_arr < 0):
+        if (t_arr < 0).any():
             raise ValueError("time must be >= 0")
         starts, cum, rates = self._segments
         seg = np.searchsorted(starts, t_arr, side="right") - 1
@@ -65,7 +65,7 @@ class PiecewiseHazard:
     def inverse_cumulative_hazard(self, y):
         """Time at which the integrated hazard reaches y >= 0."""
         y_arr = np.asarray(y, dtype=np.float64)
-        if np.any(y_arr < 0):
+        if (y_arr < 0).any():
             raise ValueError("cumulative hazard must be >= 0")
         starts, cum, rates = self._segments
         seg = np.searchsorted(cum, y_arr, side="right") - 1

@@ -6,6 +6,7 @@ combinatorics via math.comb, and generic scipy quadrature. Slow is fine.
 """
 
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -85,6 +86,11 @@ def weighted_logrank_oracle(time, event, arm, weight_of_km):
     return g, variance, z
 
 
+def geometric_mean(va, vb):
+    """sqrt(va * vb), or sqrt(va) * sqrt(vb) where the product underflows."""
+    return math.sqrt(va * vb) if va * vb >= sys.float_info.min else math.sqrt(va) * math.sqrt(vb)
+
+
 def correlation_oracle(time, event, arm, weight1_of_km, weight2_of_km):
     """Null correlation of two weighted statistics by direct triple sum."""
     num, va, vb = [], [], []
@@ -98,7 +104,7 @@ def correlation_oracle(time, event, arm, weight1_of_km, weight2_of_km):
         num.append(w1 * w2 * v)
         va.append(w1 * w1 * v)
         vb.append(w2 * w2 * v)
-    return math.fsum(num) / math.sqrt(math.fsum(va) * math.fsum(vb))
+    return math.fsum(num) / geometric_mean(math.fsum(va), math.fsum(vb))
 
 
 def bvn_upper_oracle(a, b, rho):
@@ -303,7 +309,7 @@ def asymptotic_power(scenario, methods, slices=20_000):
         v1, v2 = float(np.dot(w1 * w1, var)), float(np.dot(w2 * w2, var))
         mu1 = -float(np.dot(w1, drift)) / math.sqrt(v1)
         mu2 = -float(np.dot(w2, drift)) / math.sqrt(v2)
-        rho = min(float(np.dot(w1 * w2, var)) / math.sqrt(v1 * v2), 1.0)
+        rho = min(float(np.dot(w1 * w2, var)) / geometric_mean(v1, v2), 1.0)
         _, t1, t2 = critical_values(spec, rho)  # a single test's t2 is +inf
         rates[method.label] = union_tail(t1 - mu1, t2 - mu2, rho)
     return rates

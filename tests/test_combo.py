@@ -296,13 +296,16 @@ class TestNullCorrelation:
 
     def test_variances_whose_product_underflows(self):
         """Two heavy FH weights on the example trial have variances whose
-        product underflows; the oracle, on weights scaled by 2**400, does not."""
+        product underflows; the oracle takes the product of their roots as
+        evaluate does, and on weights scaled by 2**400 needs neither."""
         columns = read_survival_csv(EXAMPLE_TRIAL)
         got = pair_correlation(
             WeightSpec.fleming_harrington(0, 370), WeightSpec.fleming_harrington(0, 380), columns
         )
-        scaled = [lambda km, f=fleming_harrington_weight(0, g): f(km) * 2.0**400 for g in (370, 380)]
+        weights = [fleming_harrington_weight(0, g) for g in (370, 380)]
+        scaled = [lambda km, f=f: f(km) * 2.0**400 for f in weights]
         assert_allclose(got, correlation_oracle(*columns, *scaled), rtol=0, atol=1e-12)
+        assert_allclose(got, correlation_oracle(*columns, *weights), rtol=0, atol=1e-12)
         assert got < 1.0
 
     def test_nonnegative_for_supported_families(self):
@@ -576,7 +579,8 @@ class TestRunComboTest:
             table = build_risk_table(time, event, arm)
             for w in weights:
                 try:
-                    z = statistic_from_arrays(weights_from_km_left(w, risk.km_left), risk, mean, var)[2]
+                    wv = weights_from_km_left(w, risk.km_left)
+                    z = statistic_from_arrays(wv[None], risk, mean, var, ())[0][0][2]
                 except NumericalError:
                     with pytest.raises(NumericalError, match="degenerate variance"):
                         run_combo_test(ComboSpec(w, w, k1=1.0), table)
@@ -666,12 +670,12 @@ class TestStatisticCoreInvariants:
         plan = _RunPlan(paper_methods())
         assert plan.specs == [LR, MW, FH]
         assert plan.components == [(0, 0), (1, 1), (0, 1), (0, 1), (2, 2), (0, 2)]
-        sums = []
-        acc_sum = combo_module._acc_sum
-        monkeypatch.setattr(combo_module, "_acc_sum", lambda v: sums.append(v.size) or acc_sum(v))
+        shapes = []
+        row_sums = combo_module._row_sums
+        monkeypatch.setattr(combo_module, "_row_sums", lambda x: shapes.append(x.shape) or row_sums(x))
         risk = risk_arrays(*simulate_trial(BUILTIN_SCENARIOS["high_delayed"], seed=1))
         stats = evaluate(plan.specs, plan.components, risk)
-        # g and variance of 3 specs, and the cross-sums of (0, 1) and (0, 2)
-        assert len(sums) == 3 * 2 + 2
+        # one sum of g and variance of 3 specs, and the cross-sums of (0, 1) and (0, 2)
+        assert shapes == [(3 * 2 + 2, len(risk.tau))]
         assert [r for _, _, r in stats][:2] == [1.0, 1.0]
         assert stats[2] == stats[3] and stats[4][2] == 1.0

@@ -56,6 +56,15 @@ class TestPiecewiseHazard:
         y = np.linspace(0.001, 4.0, 200)
         assert_allclose(h.cumulative_hazard(h.inverse_cumulative_hazard(y)), y, rtol=1e-12)
 
+    @pytest.mark.parametrize("value", [-0.5, np.array([0.0, 1.0, -1e-300, 2.0])], ids=["scalar", "array"])
+    @pytest.mark.parametrize(
+        "method,message",
+        [("cumulative_hazard", "time must be >= 0"), ("inverse_cumulative_hazard", "hazard must be >= 0")],
+    )
+    def test_negative_input_raises(self, method, message, value):
+        with pytest.raises(ValueError, match=message):
+            getattr(TWO_PIECE, method)(value)
+
 
 def sample(h, u):
     """Event time drawn by inversion from one uniform u, as simulate_trial draws it."""

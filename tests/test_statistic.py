@@ -1,16 +1,20 @@
 """Tests for the weighted log-rank statistic, its variance, and Z."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rmwtest.combo import moment_arrays, one_sided_p, statistic_from_arrays
-from rmwtest.dataset import RiskArrays, risk_arrays
-from rmwtest.errors import NumericalError
+import rmwtest.combo as combo_module
+from rmwtest.combo import _row_sums, evaluate, moment_arrays, one_sided_p, statistic_from_arrays
+from rmwtest.dataset import RiskArrays, read_survival_csv, risk_arrays
+from rmwtest.errors import DataError, NumericalError
+from rmwtest.harness import _RunPlan, paper_methods
+from rmwtest.simulator import BUILTIN_SCENARIOS, simulate_trial
 from rmwtest.weights import WeightSpec, weights_from_km_left
 
 from oracles import (
@@ -72,7 +76,8 @@ def _statistic(spec, time, event, arm):
     """(g, variance, z) of one weight spec on subject columns."""
     risk = risk_arrays(time, event, arm)
     mean, var = moment_arrays(risk)
-    return statistic_from_arrays(weights_from_km_left(spec, risk.km_left), risk, mean, var)
+    w = weights_from_km_left(spec, risk.km_left)
+    return statistic_from_arrays(w[None], risk, mean, var, ())[0][0]
 
 
 class TestWeightedLogrank:
@@ -97,8 +102,8 @@ class TestWeightedLogrank:
         risk = risk_arrays(time, event, arm)
         mean, var = moment_arrays(risk)
         w = weights_from_km_left(WeightSpec.modest(0.5), risk.km_left)
-        _, _, z1 = statistic_from_arrays(w, risk, mean, var)
-        _, _, z2 = statistic_from_arrays(7.0 * w, risk, mean, var)
+        _, _, z1 = statistic_from_arrays(w[None], risk, mean, var, ())[0][0]
+        _, _, z2 = statistic_from_arrays(7.0 * w[None], risk, mean, var, ())[0][0]
         assert_allclose(z1, z2, rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -253,10 +258,81 @@ class TestCalibration:
             risk = risk_arrays(time, event, perm)
             mean, var = moment_arrays(risk)
             w = weights_from_km_left(spec, risk.km_left)
-            zs.append(statistic_from_arrays(w, risk, mean, var)[2])
+            zs.append(statistic_from_arrays(w[None], risk, mean, var, ())[0][0][2])
         zs = np.asarray(zs)
         assert abs(zs.mean()) < 4.0 / math.sqrt(len(zs))
         assert 0.8 <= zs.var() <= 1.2
+
+
+@st.composite
+def float_matrices(draw):
+    """(1-9, 0-64) float64 arrays: magnitudes within a narrow or wide span of
+    binary exponents anywhere in the float range, mixed with any float,
+    signed zeros, subnormals, infinities and NaN."""
+    top = draw(st.integers(-1074, 1024))
+    span = draw(st.sampled_from([0, 4, 60, 500, 960, 1000, 1100, 2200]))
+    spanned = st.builds(
+        math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True), st.integers(top - span, top)
+    )
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, math.inf, -math.inf, math.nan])
+    elements = draw(
+        st.sampled_from([spanned, st.one_of(spanned, special), st.floats(), st.one_of(spanned, st.floats())])
+    )
+    rows, width = draw(st.integers(1, 9)), draw(st.integers(0, 64))
+    cells = draw(st.lists(elements, min_size=rows * width, max_size=rows * width))
+    return np.array(cells, dtype=np.float64).reshape(rows, width)
+
+
+def _fsum_hex(row):
+    """math.fsum of a row as float.hex, or the type of the exception it raises."""
+    try:
+        return math.fsum(row).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+class TestExactRowSums:
+    """_row_sums is math.fsum, row by row, and evaluate's bytes do not depend on it."""
+
+    @given(x=float_matrices())
+    @example(x=np.array([[1.0, 1e-310, 3.0]]))  # 1084 bits: scaled to integers, 3.0 passes 2**1024
+    # 61 odd integers whose low limbs would sum past 2**53 if a limb were one
+    # bit wider, and a last value that cancels all but those low bits
+    @example(x=np.append(2.0**53 - 1 - 2 * np.arange(61), -61 * 2.0**53)[None])
+    @example(x=np.array([[1e308, 1e308, -1e308]]))  # fsum's intermediate overflow
+    @example(x=np.array([[-0.0, -0.0], [-0.0, -0.0]]))
+    @example(x=np.array([[5e-324, -5e-324]]))
+    @example(x=np.zeros((1, 0)))
+    def test_each_row_is_fsum(self, x):
+        want = [_fsum_hex(row) for row in x.tolist()]
+        errors = [w for w in want if isinstance(w, type)]
+        if errors:
+            with pytest.raises(errors[0]):
+                _row_sums(x)
+        else:
+            assert [v.hex() for v in _row_sums(x)] == want
+
+    @staticmethod
+    def _triples(specs, tests, risk):
+        try:
+            return [tuple(v.hex() for v in t) for t in evaluate(specs, tests, risk)]
+        except (DataError, NumericalError) as exc:
+            return repr(exc)
+
+    def test_evaluate_bytes_equal_fsum_per_row(self, monkeypatch):
+        """Heavy FH weights on the example trial take the many-limb path."""
+        plan = _RunPlan(paper_methods())
+        fh = [WeightSpec.fleming_harrington(0, g) for g in (400, 370, 380)]
+        cases = [
+            (plan.specs, plan.components, risk_arrays(*simulate_trial(scenario, 0, rep)))
+            for scenario in BUILTIN_SCENARIOS.values()
+            for rep in range(30)
+        ]
+        example_trial = risk_arrays(*read_survival_csv(Path(__file__).parents[1] / "data/example_trial.csv"))
+        cases += [(fh[:1], [(0, 0)], example_trial), (fh[1:], [(0, 1)], example_trial)]
+        got = [self._triples(*case) for case in cases]
+        monkeypatch.setattr(combo_module, "_row_sums", lambda x: [math.fsum(r) for r in x.tolist()])
+        assert got == [self._triples(*case) for case in cases]
 
 
 class TestOneSidedP:
