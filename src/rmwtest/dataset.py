@@ -74,12 +74,13 @@ def risk_arrays(time: np.ndarray, event: np.ndarray, arm: np.ndarray) -> RiskArr
     with at least one event get a row; censoring-only times contribute
     through the at-risk counts alone.
 
-    The table is built from four value sorts (all times, arm-1 times, event
-    times, arm-1 event times) and binary-search counts on them: ``tau`` and
-    ``d_total`` are the runs of equal sorted event times, ``d_arm1`` is the
-    number of sorted arm-1 event times equal to ``tau``, and the at-risk
-    counts are the subjects whose time is not below ``tau`` (a left-side
-    ``searchsorted``, which is the tie rule above). Every column is an
+    The table is built from four value sorts (arm-0 times, arm-1 times,
+    event times, arm-1 event times) and binary-search counts on them:
+    ``tau`` and ``d_total`` are the runs of equal sorted event times,
+    ``d_arm1`` is the number of sorted arm-1 event times equal to ``tau``,
+    and each arm's at-risk count is its subjects whose time is not below
+    ``tau`` (a left-side ``searchsorted``, which is the tie rule above);
+    ``n_total`` is the sum of the two arm counts. Every column is an
     integer count that does not depend on the order of tied values, or
     ``km_left`` computed from those counts, so the result does not depend
     on the record order. ``event`` and ``arm`` must hold only 0 and 1, and
@@ -96,44 +97,52 @@ def risk_arrays(time: np.ndarray, event: np.ndarray, arm: np.ndarray) -> RiskArr
     # min/max are NaN when any time is NaN, which fails both comparisons
     if not (time.min() >= 0.0 and time.max() < math.inf):
         raise DataError("time must be finite and >= 0")
+    # count_nonzero counts the values != 0 only of a numeric column; it takes None for 0
     is_event = event == 1
     n_events = np.count_nonzero(is_event)
-    if n_events + np.count_nonzero(event == 0) != event.size:
+    if n_events != np.count_nonzero(event if event.dtype.kind in "biufc" else event != 0):
         raise DataError("event must be 0 or 1")
     in_arm1 = arm == 1
     arm1_count = np.count_nonzero(in_arm1)
-    if arm1_count + np.count_nonzero(arm == 0) != arm.size:
+    if arm1_count != np.count_nonzero(arm if arm.dtype.kind in "biufc" else arm != 0):
         raise DataError("arm must be 0 or 1")
     if n_events == 0:
         raise DataError("no events")
     if arm1_count in (0, arm.size):
         raise DataError("one arm missing")
 
-    t_all = np.sort(time)
+    t_arm0 = np.sort(time[~in_arm1])
     t_arm1 = np.sort(time[in_arm1])
     t_event = np.sort(time[is_event])
     t_event1 = np.sort(time[is_event & in_arm1])
 
-    # tau and d_total are the runs of equal sorted event times
-    starts = np.flatnonzero(np.concatenate(([True], t_event[1:] != t_event[:-1])))
-    tau = t_event[starts]
-    d_total = np.diff(starts, append=t_event.size)
+    # tau and d_total are the runs of equal sorted event times; an end marker closes the last
+    is_edge = np.empty(t_event.size + 1, dtype=bool)
+    is_edge[0] = is_edge[-1] = True
+    np.not_equal(t_event[1:], t_event[:-1], out=is_edge[1:-1])
+    edges = np.flatnonzero(is_edge)
+    tau = t_event[edges[:-1]]
+    d_total = edges[1:] - edges[:-1]
     # every arm-1 event time is some tau, so the arm-1 events at tau are
     # those at or after tau less those at or after the next tau
-    d_arm1 = np.diff(np.searchsorted(t_event1, tau, side="left"), append=t_event1.size)
+    below = np.searchsorted(t_event1, tau, side="left")
+    d_arm1 = np.empty_like(below)
+    np.subtract(below[1:], below[:-1], out=d_arm1[:-1])
+    d_arm1[-1] = t_event1.size - below[-1]
     # at risk at tau: time >= tau, so a subject censored at tau still counts
-    n_total = t_all.size - np.searchsorted(t_all, tau, side="left")
     n_arm1 = t_arm1.size - np.searchsorted(t_arm1, tau, side="left")
+    n_total = t_arm0.size - np.searchsorted(t_arm0, tau, side="left") + n_arm1
 
-    km = np.cumprod(1.0 - d_total / n_total)
-    km_left = np.concatenate(([1.0], km[:-1]))
+    km_left = np.empty(tau.size)
+    km_left[0] = 1.0
+    np.cumprod(1.0 - d_total[:-1] / n_total[:-1], out=km_left[1:])
 
     return RiskArrays(
         tau=tau,
-        n_total=n_total.astype(np.int64),
-        n_arm1=n_arm1.astype(np.int64),
-        d_total=d_total.astype(np.int64),
-        d_arm1=d_arm1.astype(np.int64),
+        n_total=n_total.astype(np.int64, copy=False),
+        n_arm1=n_arm1.astype(np.int64, copy=False),
+        d_total=d_total.astype(np.int64, copy=False),
+        d_arm1=d_arm1.astype(np.int64, copy=False),
         km_left=km_left,
     )
 

@@ -58,8 +58,10 @@ class PiecewiseHazard:
         if (t_arr < 0).any():
             raise ValueError("time must be >= 0")
         starts, cum, rates = self._segments
-        seg = np.searchsorted(starts, t_arr, side="right") - 1
-        out = cum[seg] + (t_arr - starts[seg]) * rates[seg]
+        # the last segment whose start is <= t wins, as searchsorted(side="right") - 1
+        out = cum[0] + (t_arr - starts[0]) * rates[0]
+        for start, c, rate in zip(starts[1:], cum[1:], rates[1:]):
+            out = np.where(t_arr >= start, c + (t_arr - start) * rate, out)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def inverse_cumulative_hazard(self, y):
@@ -68,8 +70,10 @@ class PiecewiseHazard:
         if (y_arr < 0).any():
             raise ValueError("cumulative hazard must be >= 0")
         starts, cum, rates = self._segments
-        seg = np.searchsorted(cum, y_arr, side="right") - 1
-        out = starts[seg] + (y_arr - cum[seg]) / rates[seg]
+        # as in cumulative_hazard, segment by segment with the same arithmetic
+        out = starts[0] + (y_arr - cum[0]) / rates[0]
+        for start, c, rate in zip(starts[1:], cum[1:], rates[1:]):
+            out = np.where(y_arr >= c, start + (y_arr - c) / rate, out)
         return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
 
 
@@ -121,21 +125,23 @@ def simulate_trial(
     """Simulate one trial as (time, event, arm) columns, deterministic in (seed, replicate).
 
     Times are float64; event (1 observed, 0 censored) and arm (0 control,
-    1 experimental) are int64. Draw order is fixed: entry uniforms for all
-    subjects, then event uniforms for all subjects, with the control arm in
-    the first half.
+    1 experimental) are int64. All ``2 * n_total`` uniforms come from one
+    draw, in a fixed order: entry uniforms for all subjects, then event
+    uniforms for all subjects, with the control arm in the first half.
     """
     n = scenario.n_total
     half = n // 2
     rng = np.random.Generator(np.random.Philox(key=_stream_key(seed, replicate)))
-    entry = rng.random(n) * scenario.recruit_duration
+    entry, cum = rng.random(2 * n).reshape(2, n)
+    entry *= scenario.recruit_duration
     # map draws onto (0, 1] so the inverted hazard is finite
-    u = 1.0 - rng.random(n)
-    cum = -np.log(u)
+    np.subtract(1.0, cum, out=cum)
+    np.log(cum, out=cum)
+    np.negative(cum, out=cum)
     event_time = np.empty(n)
     event_time[:half] = scenario.arm0.inverse_cumulative_hazard(cum[:half])
     event_time[half:] = scenario.arm1.inverse_cumulative_hazard(cum[half:])
-    cap = scenario.study_length - entry
+    cap = np.subtract(scenario.study_length, entry, out=entry)
     event = event_time <= cap
     time = np.where(event, event_time, cap)
     arm = np.zeros(n, dtype=np.int64)

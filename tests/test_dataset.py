@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -23,7 +23,7 @@ from rmwtest.dataset import (
 from rmwtest.errors import DataError
 from rmwtest.simulator import BUILTIN_SCENARIOS, simulate_trial
 
-from oracles import risk_table_matrix_oracle, risk_table_oracle
+from oracles import risk_arrays_checks_reference, risk_table_matrix_oracle, risk_table_oracle
 
 # Small worked example with ties and censoring at an event time:
 # arm 0: events at 1, 2, 2; censored at 3
@@ -44,6 +44,33 @@ def trials(draw):
     records.append((draw(TIMES), 1, 0))
     records.append((draw(TIMES), draw(st.integers(0, 1)), 1))
     return records
+
+
+# 0/1 columns of each dtype a caller may pass: (valid values, values the checks reject)
+ZERO_ONE_VALUES = {
+    "int64": ([0, 1], [2, -1]),
+    "int32": ([0, 1], [2, -1]),
+    "bool": ([False, True], []),
+    "float64": ([0.0, -0.0, 1.0], [0.5, 2.0, math.nan, math.inf]),
+    "object": ([0, 1, 0.0, True], [None, 2, ""]),
+    "str": ([], ["0", "1", ""]),
+}
+
+
+@st.composite
+def subject_columns(draw):
+    """(time, event, arm) columns of up to 7 subjects, each column valid or
+    not at random: bad values, mixed dtypes, now and then one length longer."""
+    n = draw(st.integers(0, 6))
+
+    def column(good, bad, dtype):
+        size = draw(st.sampled_from([n, n, n, n + 1]))
+        values = draw(st.sampled_from([good, good + bad] if good else [bad]))
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=size, max_size=size)), dtype=dtype)
+
+    time = column([0.0, 1.0, 2.5, -0.0], [-1.0, math.nan, math.inf], np.float64)
+    kinds = [draw(st.sampled_from(sorted(ZERO_ONE_VALUES))) for _ in range(2)]
+    return (time, *(column(*ZERO_ONE_VALUES[kind], kind) for kind in kinds))
 
 
 def columns(records):
@@ -85,6 +112,32 @@ class TestSubjectColumns:
     def test_bad_arm(self, arm):
         with pytest.raises(DataError, match="arm must be 0 or 1"):
             risk_arrays([1.0, 2.0], [1, 0], [0, arm])
+
+    @given(cols=subject_columns())
+    @example(cols=([-1.0, 1.0], [2, 1], [0, 1]))  # a bad time and a bad event
+    @example(cols=([1.0, 2.0], [2, 1], [-1, 1]))  # event 2 with arm -1
+    @example(cols=([1.0, 2.0], [1, 0], [0, 2]))  # a bad arm alone
+    @example(cols=([1.0, 2.0], [math.nan, 1.0], [0, 1]))
+    @example(cols=([1.0, 2.0], [True, False], [0.0, 1.0]))
+    @example(cols=([1.0, 2.0], [1, None], [0, 1]))  # None is falsy but not 0
+    def test_errors_match_frozen_checks(self, cols):
+        """Each input fails the first check it failed before, with the same message."""
+        try:
+            risk_arrays_checks_reference(*cols)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                risk_arrays(*cols)
+            assert str(got.value) == str(exc)
+        else:
+            risk_arrays(*cols)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, bool, np.float64, object])
+    def test_count_columns_are_int64(self, dtype):
+        want = risk_arrays(EX_TIME, EX_EVENT, EX_ARM)
+        got = risk_arrays(EX_TIME, np.array(EX_EVENT, dtype=dtype), np.array(EX_ARM, dtype=dtype))
+        assert [col.dtype for col in got] == [np.float64] + [np.int64] * 4 + [np.float64]
+        for col, ref in zip(got, want, strict=True):
+            assert col.tobytes() == ref.tobytes()
 
 
 class TestRiskTable:

@@ -5,6 +5,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rmwtest.simulator import (
@@ -19,10 +21,38 @@ from rmwtest.simulator import (
     write_scenario,
 )
 
-from oracles import expected_event_fraction
+from oracles import (
+    cumulative_hazard_reference,
+    expected_event_fraction,
+    inverse_cumulative_hazard_reference,
+    simulate_trial_reference,
+)
 
 EXP = PiecewiseHazard(knots=(), rates=(0.0462,))
 TWO_PIECE = PiecewiseHazard(knots=(6.0,), rates=(0.0462, 0.0289))
+
+
+@st.composite
+def hazards(draw):
+    """0-3 strictly increasing knots, often with one at 0.0, and a rate for each segment."""
+    knots = sorted(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 40.0)), max_size=3, unique=True)))
+    rates = draw(st.lists(st.floats(1e-6, 10.0), min_size=len(knots) + 1, max_size=len(knots) + 1))
+    return PiecewiseHazard(tuple(knots), tuple(rates))
+
+
+# every segment's arithmetic runs on every value, and numpy warns on an overflow;
+# with rates in [1e-6, 10] none overflows on these
+FINITE_VALUES = st.lists(st.floats(0.0, 1e300), max_size=20)
+
+
+def assert_same_bits(got, want):
+    """Same type, dtype, shape and bytes; a NaN matches any NaN."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestPiecewiseHazard:
@@ -64,6 +94,61 @@ class TestPiecewiseHazard:
     def test_negative_input_raises(self, method, message, value):
         with pytest.raises(ValueError, match=message):
             getattr(TWO_PIECE, method)(value)
+
+
+class TestFrozenReference:
+    """The hazard and the simulator equal their frozen copies in tests/oracles.py bit for bit."""
+
+    @staticmethod
+    def assert_evaluations_match(hazard, method, reference, edges, extra):
+        """Each segment edge, the double below it, signed zeros, the smallest
+        subnormal, inf, NaN and ``extra``, as an array, a row, and one by one
+        as a float, a numpy scalar and a 0-d array."""
+        values = [0.0, -0.0, 5e-324, math.inf, math.nan, *extra]
+        for edge in edges.tolist():
+            values += [edge, math.nextafter(edge, -math.inf)]
+        values = [v for v in values if not v < 0]
+        for arg in (np.array(values), np.array([values]), *values, *map(np.float64, values), *map(np.array, values)):
+            assert_same_bits(getattr(hazard, method)(arg), reference(hazard, arg))
+
+    @given(hazard=hazards(), extra=FINITE_VALUES)
+    @example(hazard=PiecewiseHazard((0.0, 6.0), (0.1, 0.2, 0.3)), extra=[0.6])
+    def test_inverse_cumulative_hazard(self, hazard, extra):
+        _, cum, _ = hazard._segments
+        self.assert_evaluations_match(
+            hazard, "inverse_cumulative_hazard", inverse_cumulative_hazard_reference, cum, extra
+        )
+
+    @given(hazard=hazards(), extra=FINITE_VALUES)
+    @example(hazard=PiecewiseHazard((0.0, 6.0), (0.1, 0.2, 0.3)), extra=[6.0])
+    def test_cumulative_hazard(self, hazard, extra):
+        starts, _, _ = hazard._segments
+        self.assert_evaluations_match(hazard, "cumulative_hazard", cumulative_hazard_reference, starts, extra)
+
+    @staticmethod
+    def assert_same_trial(scenario, seed, replicate):
+        got = simulate_trial(scenario, seed, replicate)
+        want = simulate_trial_reference(scenario, seed, replicate)
+        for col, ref in zip(got, want, strict=True):
+            assert (col.dtype, col.tobytes()) == (ref.dtype, ref.tobytes())
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtin_scenarios(self, name):
+        for replicate in range(20):
+            self.assert_same_trial(BUILTIN_SCENARIOS[name], 2024, replicate)
+
+    @given(
+        arm0=hazards(),
+        arm1=hazards(),
+        half=st.integers(1, 100),
+        study_length=st.floats(0.5, 60.0),
+        recruit_share=st.floats(1e-3, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+        replicate=st.integers(0, 2**64 - 1),
+    )
+    def test_random_scenarios(self, arm0, arm1, half, study_length, recruit_share, seed, replicate):
+        scenario = Scenario("random", 2 * half, study_length, recruit_share * study_length, arm0, arm1)
+        self.assert_same_trial(scenario, seed, replicate)
 
 
 def sample(h, u):
