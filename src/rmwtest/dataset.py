@@ -97,14 +97,13 @@ def risk_arrays(time: np.ndarray, event: np.ndarray, arm: np.ndarray) -> RiskArr
     # min/max are NaN when any time is NaN, which fails both comparisons
     if not (time.min() >= 0.0 and time.max() < math.inf):
         raise DataError("time must be finite and >= 0")
-    # count_nonzero counts the values != 0 only of a numeric column; it takes None for 0
     is_event = event == 1
     n_events = np.count_nonzero(is_event)
-    if n_events != np.count_nonzero(event if event.dtype.kind in "biufc" else event != 0):
+    if n_events != np.count_nonzero(event != 0):
         raise DataError("event must be 0 or 1")
     in_arm1 = arm == 1
     arm1_count = np.count_nonzero(in_arm1)
-    if arm1_count != np.count_nonzero(arm if arm.dtype.kind in "biufc" else arm != 0):
+    if arm1_count != np.count_nonzero(arm != 0):
         raise DataError("arm must be 0 or 1")
     if n_events == 0:
         raise DataError("no events")

@@ -52,16 +52,23 @@ class PiecewiseHazard:
         cum = np.concatenate(([0.0], np.cumsum(np.diff(starts) * rate_array[:-1])))
         object.__setattr__(self, "_segments", (starts, cum, rate_array))
 
+    def _by_segment(self, x, edges, value):
+        """``value(start, cum, rate)`` of the segment ``searchsorted(edges, x, side="right") - 1`` picks."""
+        starts, cum, rates = self._segments
+        if len(rates) > 2:  # from three segments on, the gathers cost less than a full pass per segment
+            seg = np.searchsorted(edges, x, side="right") - 1
+            return value(starts[seg], cum[seg], rates[seg])
+        if len(rates) == 1:
+            return value(starts[0], cum[0], rates[0])
+        with np.errstate(over="ignore"):  # dropped values may overflow, and picked ones go unreported
+            return np.where(x >= edges[1], value(starts[1], cum[1], rates[1]), value(starts[0], cum[0], rates[0]))
+
     def cumulative_hazard(self, t):
         """Integrated hazard at time(s) t >= 0."""
         t_arr = np.asarray(t, dtype=np.float64)
         if (t_arr < 0).any():
             raise ValueError("time must be >= 0")
-        starts, cum, rates = self._segments
-        # the last segment whose start is <= t wins, as searchsorted(side="right") - 1
-        out = cum[0] + (t_arr - starts[0]) * rates[0]
-        for start, c, rate in zip(starts[1:], cum[1:], rates[1:]):
-            out = np.where(t_arr >= start, c + (t_arr - start) * rate, out)
+        out = self._by_segment(t_arr, self._segments[0], lambda start, c, rate: c + (t_arr - start) * rate)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def inverse_cumulative_hazard(self, y):
@@ -69,11 +76,7 @@ class PiecewiseHazard:
         y_arr = np.asarray(y, dtype=np.float64)
         if (y_arr < 0).any():
             raise ValueError("cumulative hazard must be >= 0")
-        starts, cum, rates = self._segments
-        # as in cumulative_hazard, segment by segment with the same arithmetic
-        out = starts[0] + (y_arr - cum[0]) / rates[0]
-        for start, c, rate in zip(starts[1:], cum[1:], rates[1:]):
-            out = np.where(y_arr >= c, start + (y_arr - c) / rate, out)
+        out = self._by_segment(y_arr, self._segments[1], lambda start, c, rate: start + (y_arr - c) / rate)
         return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
 
 
@@ -134,10 +137,8 @@ def simulate_trial(
     rng = np.random.Generator(np.random.Philox(key=_stream_key(seed, replicate)))
     entry, cum = rng.random(2 * n).reshape(2, n)
     entry *= scenario.recruit_duration
-    # map draws onto (0, 1] so the inverted hazard is finite
-    np.subtract(1.0, cum, out=cum)
-    np.log(cum, out=cum)
-    np.negative(cum, out=cum)
+    # map draws onto (0, 1] so the inverted hazard is finite, and take -log, in place
+    np.negative(np.log(np.subtract(1.0, cum, out=cum), out=cum), out=cum)
     event_time = np.empty(n)
     event_time[:half] = scenario.arm0.inverse_cumulative_hazard(cum[:half])
     event_time[half:] = scenario.arm1.inverse_cumulative_hazard(cum[half:])

@@ -1,6 +1,7 @@
 """Tests for piecewise-exponential sampling and the built-in trial scenarios."""
 
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -36,13 +37,30 @@ TWO_PIECE = PiecewiseHazard(knots=(6.0,), rates=(0.0462, 0.0289))
 def hazards(draw):
     """0-3 strictly increasing knots, often with one at 0.0, and a rate for each segment."""
     knots = sorted(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 40.0)), max_size=3, unique=True)))
-    rates = draw(st.lists(st.floats(1e-6, 10.0), min_size=len(knots) + 1, max_size=len(knots) + 1))
+    # subnormal rates too; up to 1e300 the cumulative hazard at a knot stays finite
+    rate = st.floats(0.0, 1e300, exclude_min=True)
+    rates = draw(st.lists(rate, min_size=len(knots) + 1, max_size=len(knots) + 1))
     return PiecewiseHazard(tuple(knots), tuple(rates))
 
 
-# every segment's arithmetic runs on every value, and numpy warns on an overflow;
-# with rates in [1e-6, 10] none overflows on these
-FINITE_VALUES = st.lists(st.floats(0.0, 1e300), max_size=20)
+FINITE_VALUES = st.lists(st.floats(0.0, allow_infinity=False), max_size=20)
+
+# an empty first segment; a tiny then a common rate, where the first segment's
+# value overflows for nearly every time or hazard; a common then a huge rate,
+# where the second's overflows before its knot
+EDGE_HAZARDS = [
+    PiecewiseHazard((0.0, 6.0), (0.1, 0.2, 0.3)),
+    PiecewiseHazard((6.0,), (1e-310, 0.1)),
+    PiecewiseHazard((1e9,), (1.0, 1e300)),
+]
+
+
+def recording_warnings(f, *args):
+    """``f(*args)`` and the set of warning messages it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = f(*args)
+    return result, {str(w.message) for w in caught}
 
 
 def assert_same_bits(got, want):
@@ -103,16 +121,22 @@ class TestFrozenReference:
     def assert_evaluations_match(hazard, method, reference, edges, extra):
         """Each segment edge, the double below it, signed zeros, the smallest
         subnormal, inf, NaN and ``extra``, as an array, a row, and one by one
-        as a float, a numpy scalar and a 0-d array."""
+        as a float, a numpy scalar and a 0-d array. A warning the package
+        raises, the reference raises too."""
         values = [0.0, -0.0, 5e-324, math.inf, math.nan, *extra]
         for edge in edges.tolist():
             values += [edge, math.nextafter(edge, -math.inf)]
         values = [v for v in values if not v < 0]
         for arg in (np.array(values), np.array([values]), *values, *map(np.float64, values), *map(np.array, values)):
-            assert_same_bits(getattr(hazard, method)(arg), reference(hazard, arg))
+            got, got_warnings = recording_warnings(getattr(hazard, method), arg)
+            want, want_warnings = recording_warnings(reference, hazard, arg)
+            assert_same_bits(got, want)
+            assert got_warnings <= want_warnings
 
     @given(hazard=hazards(), extra=FINITE_VALUES)
-    @example(hazard=PiecewiseHazard((0.0, 6.0), (0.1, 0.2, 0.3)), extra=[0.6])
+    @example(hazard=EDGE_HAZARDS[0], extra=[0.6])
+    @example(hazard=EDGE_HAZARDS[1], extra=[0.5, 36.7, 1e300])
+    @example(hazard=EDGE_HAZARDS[2], extra=[0.5, 1e9, 1e300])
     def test_inverse_cumulative_hazard(self, hazard, extra):
         _, cum, _ = hazard._segments
         self.assert_evaluations_match(
@@ -120,17 +144,20 @@ class TestFrozenReference:
         )
 
     @given(hazard=hazards(), extra=FINITE_VALUES)
-    @example(hazard=PiecewiseHazard((0.0, 6.0), (0.1, 0.2, 0.3)), extra=[6.0])
+    @example(hazard=EDGE_HAZARDS[0], extra=[6.0])
+    @example(hazard=EDGE_HAZARDS[1], extra=[3.0, 1e300])
+    @example(hazard=EDGE_HAZARDS[2], extra=[0.0, 5.0, 2e9, 1e300])
     def test_cumulative_hazard(self, hazard, extra):
         starts, _, _ = hazard._segments
         self.assert_evaluations_match(hazard, "cumulative_hazard", cumulative_hazard_reference, starts, extra)
 
     @staticmethod
     def assert_same_trial(scenario, seed, replicate):
-        got = simulate_trial(scenario, seed, replicate)
-        want = simulate_trial_reference(scenario, seed, replicate)
+        got, got_warnings = recording_warnings(simulate_trial, scenario, seed, replicate)
+        want, want_warnings = recording_warnings(simulate_trial_reference, scenario, seed, replicate)
         for col, ref in zip(got, want, strict=True):
             assert (col.dtype, col.tobytes()) == (ref.dtype, ref.tobytes())
+        assert got_warnings <= want_warnings
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
     def test_builtin_scenarios(self, name):
@@ -145,6 +172,10 @@ class TestFrozenReference:
         recruit_share=st.floats(1e-3, 1.0),
         seed=st.integers(0, 2**64 - 1),
         replicate=st.integers(0, 2**64 - 1),
+    )
+    @example(
+        arm0=EDGE_HAZARDS[1], arm1=EDGE_HAZARDS[2], half=50,
+        study_length=36.0, recruit_share=1 / 3, seed=1, replicate=0,
     )
     def test_random_scenarios(self, arm0, arm1, half, study_length, recruit_share, seed, replicate):
         scenario = Scenario("random", 2 * half, study_length, recruit_share * study_length, arm0, arm1)
