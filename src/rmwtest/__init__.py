@@ -16,7 +16,7 @@ from .combo import (
 )
 from .dataset import (
     CSV_HEADER,
-    RiskTableRow,
+    RiskArrays,
     build_risk_table,
     read_survival_csv,
     write_survival_csv,
@@ -59,7 +59,7 @@ __all__ = [
     "NumericalError",
     "OperatingCharacteristics",
     "PiecewiseHazard",
-    "RiskTableRow",
+    "RiskArrays",
     "Scenario",
     "WeightSpec",
     "assurance",

@@ -26,7 +26,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
-from .dataset import RiskArrays, RiskTableRow, rows_to_arrays
+from .dataset import RiskArrays
+# unused: perfbench/layers.py wraps it by name here; it goes once perfbench traces functions
+from .dataset import rows_to_arrays
 from .errors import NumericalError
 from .weights import WeightSpec, weights_from_km_left
 
@@ -412,15 +414,16 @@ def combo_pvalue(spec: ComboSpec, z1: float, z2: float, correlation: float) -> f
     return _bisect(lambda a: _rejects(spec, z1, z2, correlation, a), lo, hi, 1e-10)[0]
 
 
-def run_combo_test(spec: ComboSpec, table: Sequence[RiskTableRow]) -> ComboResult:
-    """Run the full max-combo test on one risk table.
+def run_combo_test(spec: ComboSpec, table: RiskArrays) -> ComboResult:
+    """Run the full max-combo test on one risk table, as ``build_risk_table``
+    or ``rows_to_arrays`` return it.
 
     Only ``spec.components`` are evaluated, so a k1 = 1 test or an
     equal-weight combo reads w1 alone: its z is both z1 and z2, with
     correlation 1.
     """
     ws = spec.components
-    (z1, z2, correlation), = evaluate(ws, [(0, len(ws) - 1)], rows_to_arrays(table))
+    (z1, z2, correlation), = evaluate(ws, [(0, len(ws) - 1)], table)
     c, t1, t2 = critical_values(spec, correlation)
     return ComboResult(
         z1=z1,

@@ -1,7 +1,7 @@
 """Two-arm survival data and its reduction to a risk table.
 
 The risk table is the single summary that every downstream statistic
-consumes: one row per distinct event time, carrying at-risk counts, event
+consumes: one entry per distinct event time, carrying at-risk counts, event
 counts, and the pooled Kaplan-Meier survival just before that time.
 """
 
@@ -10,8 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,40 +19,13 @@ from .errors import DataError
 CSV_HEADER = ("time", "event", "arm")
 
 
-@dataclass(frozen=True)
-class RiskTableRow:
-    """Risk-set summary at one distinct event time.
-
-    ``km_left`` is the pooled Kaplan-Meier estimate of survival just prior
-    to ``tau``, i.e. the product of (1 - d/n) over strictly earlier rows.
-    """
-
-    tau: float
-    n_total: int
-    n_arm1: int
-    d_total: int
-    d_arm1: int
-    km_left: float
-
-    def __post_init__(self) -> None:
-        if self.n_total < 1:
-            raise DataError(f"empty risk set at tau={self.tau}: need n_total >= 1, got {self.n_total}")
-        if not 0 <= self.d_arm1 <= self.d_total <= self.n_total:
-            raise DataError(
-                f"need 0 <= d_arm1 <= d_total <= n_total at tau={self.tau}, got "
-                f"d_arm1={self.d_arm1}, d_total={self.d_total}, n_total={self.n_total}"
-            )
-        if not 0 <= self.n_arm1 <= self.n_total:
-            raise DataError(
-                f"need 0 <= n_arm1 <= n_total at tau={self.tau}, got "
-                f"n_arm1={self.n_arm1}, n_total={self.n_total}"
-            )
-        if not 0.0 <= self.km_left <= 1.0:
-            raise DataError(f"km_left must lie in [0, 1], got {self.km_left}")
-
-
 class RiskArrays(NamedTuple):
-    """Columnar risk table used on hot paths; same content as the row form."""
+    """The risk table as columns, one entry per distinct event time, strictly increasing in ``tau``.
+
+    ``n_total``/``n_arm1`` count the subjects at risk at ``tau`` and ``d_total``/``d_arm1`` its
+    events (int64); ``km_left`` is the pooled Kaplan-Meier survival just prior to ``tau``, the
+    product of (1 - d/n) over earlier entries (float64, as is ``tau``).
+    """
 
     tau: np.ndarray
     n_total: np.ndarray
@@ -146,30 +118,39 @@ def risk_arrays(time: np.ndarray, event: np.ndarray, arm: np.ndarray) -> RiskArr
     )
 
 
-def build_risk_table(time: np.ndarray, event: np.ndarray, arm: np.ndarray) -> list[RiskTableRow]:
-    """Reduce subject-level columns to the per-event-time risk table.
+def build_risk_table(time: np.ndarray, event: np.ndarray, arm: np.ndarray) -> RiskArrays:
+    """The risk table of subject-level columns, checked as ``risk_arrays`` checks them (it needs
+    an event and both arms). It is strictly increasing in ``tau``, has someone at risk at every
+    ``tau`` and does not depend on the subject order."""
+    # a call, not an alias: perfbench's traced analyze run divides the event times counted
+    # through this module's risk_arrays by its calls (ROADMAP item 1 folds the two names)
+    return risk_arrays(time, event, arm)
 
-    Takes the same columns as ``risk_arrays`` and applies its checks.
-    Requires at least one event and subjects on both arms. The result is
-    sorted strictly increasing in ``tau`` and is invariant to the subject
-    order.
+
+def rows_to_arrays(rows: Iterable[Sequence[float]]) -> RiskArrays:
+    """The risk table of hand-built rows ``(tau, n_total, n_arm1, d_total, d_arm1, km_left)``.
+
+    The first row with ``n_total < 1``, or outside ``0 <= d_arm1 <= d_total <= n_total``,
+    ``0 <= n_arm1 <= n_total`` or ``0 <= km_left <= 1``, raises ``DataError``, as does an
+    empty table. Counts become int64 columns, and ``tau`` and ``km_left`` float64.
     """
-    # RiskTableRow lists its fields in the order of RiskArrays
-    return [RiskTableRow(*row) for row in zip(*(c.tolist() for c in risk_arrays(time, event, arm)))]
-
-
-def rows_to_arrays(table: Sequence[RiskTableRow]) -> RiskArrays:
-    """Convert the row form back to columns (no validation beyond emptiness)."""
-    if len(table) == 0:
+    rows = [tuple(row) for row in rows]
+    if not rows:
         raise DataError("no data")
-    return RiskArrays(
-        tau=np.array([r.tau for r in table], dtype=np.float64),
-        n_total=np.array([r.n_total for r in table], dtype=np.int64),
-        n_arm1=np.array([r.n_arm1 for r in table], dtype=np.int64),
-        d_total=np.array([r.d_total for r in table], dtype=np.int64),
-        d_arm1=np.array([r.d_arm1 for r in table], dtype=np.int64),
-        km_left=np.array([r.km_left for r in table], dtype=np.float64),
-    )
+    for tau, n_total, n_arm1, d_total, d_arm1, km_left in rows:
+        if n_total < 1:
+            raise DataError(f"empty risk set at tau={tau}: need n_total >= 1, got {n_total}")
+        if not 0 <= d_arm1 <= d_total <= n_total:
+            raise DataError(
+                f"need 0 <= d_arm1 <= d_total <= n_total at tau={tau}, got "
+                f"d_arm1={d_arm1}, d_total={d_total}, n_total={n_total}"
+            )
+        if not 0 <= n_arm1 <= n_total:
+            raise DataError(f"need 0 <= n_arm1 <= n_total at tau={tau}, got n_arm1={n_arm1}, n_total={n_total}")
+        if not 0.0 <= km_left <= 1.0:
+            raise DataError(f"km_left must lie in [0, 1], got {km_left}")
+    dtypes = (np.float64, np.int64, np.int64, np.int64, np.int64, np.float64)
+    return RiskArrays(*(np.array(col, dtype=dtype) for col, dtype in zip(zip(*rows), dtypes)))
 
 
 # the spec grammar's punctuation; a word of a spec string, such as a scenario

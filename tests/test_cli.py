@@ -1383,6 +1383,14 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_readme_library_quick_start_runs(self, monkeypatch, capsys):
+        """The first Python block of README.md runs as written, from the repository root."""
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(ROOT)
+        exec(compile(block, "README.md", "exec"), {})
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
 
 # ---------------------------------------------------------------------------
 # the exit-code contract as a property: inputs are strings of grammar words and

@@ -1,6 +1,5 @@
 """Tests for subject columns, risk-table construction, and CSV I/O."""
 
-import dataclasses
 import math
 import re
 
@@ -11,8 +10,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rmwtest.dataset import (
-    RiskArrays,
-    RiskTableRow,
     build_risk_table,
     parse_number,
     read_survival_csv,
@@ -149,22 +146,23 @@ class TestRiskTable:
                three events of which one in arm 1. KM just before 2 is 6/7.
         """
         table = build_risk_table(EX_TIME, EX_EVENT, EX_ARM)
-        assert [row.tau for row in table] == [1.0, 2.0]
-        first, second = table
-        assert (first.n_total, first.n_arm1, first.d_total, first.d_arm1) == (7, 3, 1, 0)
-        assert (second.n_total, second.n_arm1, second.d_total, second.d_arm1) == (5, 2, 3, 1)
-        assert first.km_left == 1.0
-        assert_allclose(second.km_left, 6.0 / 7.0, rtol=1e-15)
+        assert table.tau.tolist() == [1.0, 2.0]
+        assert table.n_total.tolist() == [7, 5]
+        assert table.n_arm1.tolist() == [3, 2]
+        assert table.d_total.tolist() == [1, 3]
+        assert table.d_arm1.tolist() == [0, 1]
+        assert table.km_left[0] == 1.0
+        assert_allclose(table.km_left[1], 6.0 / 7.0, rtol=1e-15)
 
     def test_censored_at_event_time_still_at_risk(self):
         """A subject censored exactly at tau counts in the risk set at tau."""
         table = build_risk_table([2.0, 2.0, 3.0], [1, 0, 0], [0, 1, 1])
-        assert table[0].n_total == 3
-        assert table[0].n_arm1 == 2
+        assert table.n_total[0] == 3
+        assert table.n_arm1[0] == 2
 
     def test_censoring_only_times_contribute_no_row(self):
         table = build_risk_table([1.0, 2.0, 3.0], [1, 0, 1], [0, 1, 1])
-        assert [row.tau for row in table] == [1.0, 3.0]
+        assert table.tau.tolist() == [1.0, 3.0]
 
     def test_matches_oracle_on_random_data(self):
         """Exact counting-oracle agreement on edge cases and 200 random tied datasets."""
@@ -221,26 +219,34 @@ class TestRiskTable:
         for col, other in zip(base[1:], scaled[1:]):
             assert col.tobytes() == other.tobytes()
 
-    def test_row_fields_follow_the_columns(self):
-        """build_risk_table fills each row positionally from the columns."""
-        assert RiskArrays._fields == tuple(f.name for f in dataclasses.fields(RiskTableRow))
+    @given(records=trials())
+    def test_every_table_holds_the_row_invariants(self, records):
+        """What rows_to_arrays checks of a hand-built table holds by
+        construction for every table build_risk_table returns."""
+        table = build_risk_table(*columns(records))
+        assert [col.dtype for col in table] == [np.float64] + [np.int64] * 4 + [np.float64]
+        assert (table.n_total >= 1).all()
+        assert (0 <= table.d_arm1).all() and (table.d_arm1 <= table.d_total).all()
+        assert (table.d_total <= table.n_total).all()
+        assert (0 <= table.n_arm1).all() and (table.n_arm1 <= table.n_total).all()
+        assert (0.0 <= table.km_left).all() and (table.km_left <= 1.0).all()
+        assert (np.diff(table.tau) > 0.0).all()
 
-    def test_rows_equal_the_per_cell_conversion(self):
-        """Each row holds the Python float or int that float() or int() of
-        its column's cell gives."""
-        columns = simulate_trial(BUILTIN_SCENARIOS["high_delayed"], seed=2)
-        arrays = risk_arrays(*columns)
-        kinds = (float, int, int, int, int, float)
-        want = [RiskTableRow(*(kind(col[i]) for kind, col in zip(kinds, arrays))) for i in range(len(arrays))]
-        got = build_risk_table(*columns)
-        assert got == want
-        assert all(tuple(map(type, dataclasses.astuple(row))) == kinds for row in got)
+    @pytest.mark.parametrize("cols", [
+        (EX_TIME, EX_EVENT, EX_ARM),
+        simulate_trial(BUILTIN_SCENARIOS["high_delayed"], seed=2),
+    ], ids=["worked-example", "high_delayed"])
+    def test_rows_round_trip(self, cols):
+        """The rows of a built table come back as the same columns, bit for bit."""
+        table = build_risk_table(*cols)
+        arrays = rows_to_arrays(zip(*table))
+        for col, ref in zip(arrays, table, strict=True):
+            assert col.dtype == ref.dtype
+            assert col.tobytes() == ref.tobytes()
 
-    def test_rows_round_trip(self):
-        table = build_risk_table(EX_TIME, EX_EVENT, EX_ARM)
-        arrays = rows_to_arrays(table)
-        assert list(arrays.tau) == [row.tau for row in table]
-        assert list(arrays.d_arm1) == [row.d_arm1 for row in table]
+    def test_no_rows_rejected(self):
+        with pytest.raises(DataError, match="no data"):
+            rows_to_arrays([])
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError, match="no data"):
@@ -262,16 +268,29 @@ class TestRiskTable:
         with pytest.raises(DataError, match="equal length"):
             risk_arrays([1.0, 2.0, 3.0], [1, 0], [0, 1, 1])
 
-    def test_row_invariants_enforced(self):
-        with pytest.raises(DataError):
-            RiskTableRow(tau=1.0, n_total=2, n_arm1=3, d_total=1, d_arm1=0, km_left=1.0)
-        with pytest.raises(DataError):
-            RiskTableRow(tau=1.0, n_total=5, n_arm1=2, d_total=1, d_arm1=0, km_left=1.5)
+    @pytest.mark.parametrize("row,message", [
+        ((1.0, 2, 3, 1, 0, 1.0), "need 0 <= n_arm1 <= n_total at tau=1.0, got n_arm1=3, n_total=2"),
+        ((1.0, 5, 2, 1, 0, 1.5), "km_left must lie in [0, 1], got 1.5"),
+        ((1.0, 5, 2, 1, 2, 1.0), "need 0 <= d_arm1 <= d_total <= n_total at tau=1.0, got d_arm1=2, d_total=1, n_total=5"),
+        ((1.0, 5, 2, 6, 0, 1.0), "need 0 <= d_arm1 <= d_total <= n_total at tau=1.0, got d_arm1=0, d_total=6, n_total=5"),
+    ])
+    def test_row_invariants_enforced(self, row, message):
+        good = (0.5, 6, 3, 1, 0, 1.0)
+        with pytest.raises(DataError) as info:
+            rows_to_arrays([good, row])
+        assert str(info.value) == message
+
+    def test_first_bad_row_is_reported(self):
+        """Each row is checked in order, so the earliest bad row names itself,
+        even when a later row breaks a check that comes first."""
+        rows = [(1.0, 5, 6, 1, 0, 1.0), (2.0, 0, 0, 0, 0, 0.8)]
+        with pytest.raises(DataError, match=r"need 0 <= n_arm1 <= n_total at tau=1\.0"):
+            rows_to_arrays(rows)
 
     def test_row_needs_someone_at_risk(self):
         """An empty risk set would make the null moments 0/0 downstream."""
         with pytest.raises(DataError, match=r"empty risk set at tau=2\.0"):
-            RiskTableRow(tau=2.0, n_total=0, n_arm1=0, d_total=0, d_arm1=0, km_left=0.8)
+            rows_to_arrays([(2.0, 0, 0, 0, 0, 0.8)])
 
 
 class TestCsv:
