@@ -54,8 +54,9 @@ def _row_sums(x: np.ndarray) -> list[float]:
     it too, so the sign of zero is fsum's.
     """
     a = np.abs(x)
-    top = float(a.max(initial=0.0))
-    low = float(np.min(a, where=a > 0.0, initial=math.inf))
+    top = float(a.max(initial=0.0))  # read before zeros turn into inf, which would pass for the top
+    a[a == 0.0] = math.inf
+    low = float(a.min(initial=math.inf))
     e_lo = math.frexp(low)[1] - 53
     bits = math.frexp(top)[1] - e_lo
     if not top < 2.0**960 or low == math.inf or bits > 1000:
@@ -175,36 +176,64 @@ _GL_X, _GL_W = leggauss(16)
 _QUAD_LEVELS = 9  # panel-count doublings tried before the quadrature gives up
 
 
-@functools.lru_cache(maxsize=256)
-def _panel_table(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """(0.0, 1.0, ..., n_panels) and the Gauss-Legendre weights tiled once per panel."""
-    table = np.arange(n_panels + 1, dtype=float), np.tile(_GL_W, n_panels)
+@functools.lru_cache(maxsize=64)
+def _two_level_table(n_panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cached arrays that set up the n_panels and 2 * n_panels levels together.
+
+    - Edge multipliers, in units of the n_panels step: 0, 1, ..., n_panels,
+      then 0, 0.5, 1, ..., n_panels.
+    - Node offsets, in units of the n_panels half width, one row of 16 per
+      pair of adjacent edges: the abscissae for the n_panels coarse panels
+      and for the spare row between the levels (the coarse last edge and the
+      fine first one), then the abscissae halved for the 2 * n_panels fine
+      panels.
+    - The Gauss-Legendre weights tiled over 2 * n_panels panels; their first
+      half are the coarse level's.
+    """
+    n = n_panels
+    table = (
+        np.concatenate((np.arange(n + 1.0), np.arange(2 * n + 1) * 0.5)),
+        np.concatenate((np.tile(_GL_X, (n + 1, 1)), np.tile(0.5 * _GL_X, (2 * n, 1)))),
+        np.tile(_GL_W, 2 * n),
+    )
     for array in table:
         array.flags.writeable = False  # shared by every call at this panel count
     return table
 
 
-def _edges(lo: float, hi: float, n_panels: int) -> np.ndarray:
-    """``np.linspace(lo, hi, n_panels + 1)`` bit for bit, from the cached integers.
+def _first_levels(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges and nodes of the n_panels and 2 * n_panels levels on [lo, hi].
 
-    The same arithmetic as linspace: the step times the integers plus lo,
-    with the last edge set to hi; a step that underflows to 0 takes
-    linspace's own branch for that case.
+    The edges are ``np.linspace(lo, hi, m + 1)`` for m = n_panels, then for
+    m = 2 * n_panels, bit for bit: linspace's step times the integers plus
+    lo, with the last edge set to hi. The nodes are each panel's center
+    plus its half width times the abscissae, in the table's rows of 16; no
+    level reads the spare row.
+
+    Above the smallest normal number, halving a step or a half width is
+    exact, so the fine level's k-th edge is k / 2 coarse steps and its
+    offsets are the halved abscissae times the coarse half width: one
+    multiply-add makes every edge, and one multiply every offset. Below it,
+    where a step may also underflow to 0 and linspace takes a branch of its
+    own, both levels come from linspace and their own half widths.
     """
-    step = (hi - lo) / n_panels
-    if step == 0.0:
-        return np.linspace(lo, hi, n_panels + 1)
-    edges = _panel_table(n_panels)[0] * step + lo
-    edges[-1] = hi
-    return edges
-
-
-def _level_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Nodes, half panel width and node weights of one quadrature level."""
-    edges = _edges(lo, hi, n_panels)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (hi - lo) / n_panels
-    return (centers[:, None] + half * _GL_X[None, :]).ravel(), half, _panel_table(n_panels)[1]
+    n = n_panels
+    multipliers, offsets, _ = _two_level_table(n)
+    span = hi - lo
+    if 0.5 * span / (2 * n) > sys.float_info.min:
+        edges = multipliers * (span / n)
+        edges += lo
+        edges[n] = edges[-1] = hi
+        nodes = 0.5 * span / n * offsets
+    else:
+        edges = np.concatenate((np.linspace(lo, hi, n + 1), np.linspace(lo, hi, 2 * n + 1)))
+        coarse_offsets = np.tile(0.5 * span / n * _GL_X, (n + 1, 1))
+        fine_offsets = np.tile(0.5 * span / (2 * n) * _GL_X, (2 * n, 1))
+        nodes = np.concatenate((coarse_offsets, fine_offsets))
+    centers = edges[:-1] + edges[1:]
+    centers *= 0.5
+    nodes += centers[:, None]
+    return edges, nodes
 
 
 def _middle_integral(lo: float, hi: float, b: float, rho: float, s: float) -> float:
@@ -212,22 +241,26 @@ def _middle_integral(lo: float, hi: float, b: float, rho: float, s: float) -> fl
 
     Starts from at least 64 nodes with panel width tied to the transition
     scale s/|rho| and doubles the panel count until two successive levels
-    agree to _QUAD_TOL. The first two levels, which every call needs, share
-    one pass of the integrand.
+    agree to _QUAD_TOL. Every call needs the first two levels: one cached
+    table per panel count sets them up together (``_first_levels``), and
+    one pass of the integrand serves both. The rare later levels are set up
+    one at a time, uncached. Every level returns the very bits of panels
+    built one level at a time from ``np.linspace``.
     """
     if hi <= lo:
         return 0.0
 
     def integrand(x):
-        return np.exp(-0.5 * x * x) / _SQRT_2PI * ndtr(-(b - rho * x) / s)
+        # rho * x - b is -(b - rho * x) to the bit, and ndtr(+0) == ndtr(-0)
+        return np.exp(-0.5 * x * x) / _SQRT_2PI * ndtr((rho * x - b) / s)
 
     width = min(0.5, 0.5 * s / abs(rho))
     n_panels = max(4, int(math.ceil((hi - lo) / width)))
-    x1, half1, w1 = _level_nodes(lo, hi, n_panels)
-    x2, half2, w2 = _level_nodes(lo, hi, 2 * n_panels)
-    f = integrand(np.concatenate((x1, x2)))
-    previous = half1 * float(np.dot(f[: x1.size], w1))
-    value = half2 * float(np.dot(f[x1.size :], w2))
+    f = integrand(_first_levels(lo, hi, n_panels)[1].ravel())
+    w = _two_level_table(n_panels)[2]
+    coarse = n_panels * _GL_X.size  # the coarse level's values; the spare row's follow
+    previous = 0.5 * (hi - lo) / n_panels * float(np.dot(f[:coarse], w[:coarse]))
+    value = 0.5 * (hi - lo) / (2 * n_panels) * float(np.dot(f[coarse + _GL_X.size :], w))
     levels = 2
     # "not <=" keeps a NaN level unconverged
     while not abs(value - previous) <= _QUAD_TOL * max(1.0, abs(value)):
@@ -235,8 +268,10 @@ def _middle_integral(lo: float, hi: float, b: float, rho: float, s: float) -> fl
             raise NumericalError("bvn quadrature failed to converge")
         levels += 1
         n_panels *= 2
-        x, half, w = _level_nodes(lo, hi, 2 * n_panels)
-        previous, value = value, half * float(np.dot(integrand(x), w))
+        edges = np.linspace(lo, hi, 2 * n_panels + 1)
+        half = 0.5 * (hi - lo) / (2 * n_panels)
+        x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _GL_X
+        previous, value = value, half * float(np.dot(integrand(x.ravel()), np.tile(_GL_W, 2 * n_panels)))
     return value
 
 

@@ -147,12 +147,15 @@ def _decision_block(
     """Decision matrix for replicates [start, stop) plus degenerate log entries.
 
     A replicate whose dataset cannot support the tests (no events, one arm
-    absent, zero variance) contributes a row of non-rejections.
+    absent, zero variance) contributes a row of non-rejections. The block
+    builds one generator, and simulate_trial resets it to each replicate's
+    own stream, so a row does not depend on where its block starts.
     """
     rows = np.zeros((stop - start, len(plan.methods)), dtype=bool)
     degenerate: list[tuple[int, str]] = []
+    rng = np.random.Generator(np.random.Philox(0))  # its state is replaced before every draw
     for rep in range(start, stop):
-        time, event, arm = _trial_arrays(scenario, seed, rep)
+        time, event, arm = _trial_arrays(scenario, seed, rep, rng=rng)
         try:
             rows[rep - start] = _replicate_row(plan, time, event, arm)
         except (DataError, NumericalError) as exc:

@@ -123,7 +123,7 @@ def _stream_key(seed: int, replicate: int) -> int:
 
 
 def simulate_trial(
-    scenario: Scenario, seed: int, replicate: int = 0
+    scenario: Scenario, seed: int, replicate: int = 0, *, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate one trial as (time, event, arm) columns, deterministic in (seed, replicate).
 
@@ -131,10 +131,32 @@ def simulate_trial(
     1 experimental) are int64. All ``2 * n_total`` uniforms come from one
     draw, in a fixed order: entry uniforms for all subjects, then event
     uniforms for all subjects, with the control arm in the first half.
+
+    The draw comes from ``Philox(key=(replicate << 64) | seed)``. Without
+    ``rng`` the call builds that generator. A ``Generator`` over ``Philox``
+    passed as ``rng`` is set to it instead, whatever it drew before: its
+    whole state is replaced by that key, a zero counter and an empty
+    buffer, so the columns are those a fresh generator gives, and a loop
+    over replicates can reuse one generator. An ``rng`` over any other bit
+    generator raises ``TypeError``.
     """
     n = scenario.n_total
     half = n // 2
-    rng = np.random.Generator(np.random.Philox(key=_stream_key(seed, replicate)))
+    key = _stream_key(seed, replicate)
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(key=key))
+    elif isinstance(rng, np.random.Generator) and type(rng.bit_generator) is np.random.Philox:
+        # a keyed counter-based generator is fully set by its key and counter
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (seed, replicate)},  # key's 64-bit words, low first
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    else:
+        raise TypeError(f"rng must be a numpy Generator over Philox, got {rng!r}")
     entry, cum = rng.random(2 * n).reshape(2, n)
     entry *= scenario.recruit_duration
     # map draws onto (0, 1] so the inverted hazard is finite, and take -log, in place

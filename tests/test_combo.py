@@ -221,6 +221,8 @@ class TestQuadratureBits:
         )
 
     def test_edges_replicate_linspace(self):
+        """Both levels' edges are np.linspace's and their nodes the reference's,
+        bit for bit, on the fast path and on the linspace one alike."""
         rng = np.random.default_rng(18)
         # a width of one subnormal makes the step 0, which linspace handles on its own
         assert (5e-324 - 0.0) / 4 == 0.0
@@ -230,41 +232,54 @@ class TestQuadratureBits:
             lo = rng.uniform(-12.5, 12.5)
             hi = lo + widths[rng.integers(len(widths))] * rng.uniform(0.5, 2.0)
             cases.append((lo, hi, int(rng.integers(1, 3000))))
-        for lo, hi, n in cases:
-            expected = np.linspace(lo, hi, n + 1)
-            assert combo_module._edges(lo, hi, n).tobytes() == expected.tobytes(), (lo, hi, n)
+        try:
+            for lo, hi, n in cases:
+                edges, nodes = combo_module._first_levels(lo, hi, n)
+                assert nodes.shape == (3 * n + 1, 16)
+                levels = ((n, edges[: n + 1], nodes[:n]), (2 * n, edges[n + 1 :], nodes[n + 1 :]))
+                for m, level_edges, level_nodes in levels:
+                    expected = np.linspace(lo, hi, m + 1)
+                    assert level_edges.tobytes() == expected.tobytes(), (lo, hi, m)
+                    centers = 0.5 * (expected[:-1] + expected[1:])
+                    half = 0.5 * (hi - lo) / m
+                    expected = centers[:, None] + half * combo_module._GL_X[None, :]
+                    assert level_nodes.tobytes() == expected.tobytes(), (lo, hi, m)
+        finally:
+            combo_module._two_level_table.cache_clear()  # the grid's panel counts reach 3000
 
     def test_no_convergence_raises_after_nine_levels_in_both(self, monkeypatch):
         """With a negative tolerance no level converges: both versions
-        evaluate the same nine levels and then raise."""
-        panels, sizes = [], []
-        level_nodes, ndtr_reference = combo_module._level_nodes, oracles_module.ndtr
+        evaluate the same nine doubling panel counts and then raise."""
+        sizes = {}
 
-        def record_level(lo, hi, n_panels):
-            panels.append(n_panels)
-            return level_nodes(lo, hi, n_panels)
+        def recording(module):
+            def record_ndtr(x):
+                sizes.setdefault(module.__name__, []).append(np.size(x))
+                return ndtr(x)
 
-        def record_ndtr(x):
-            sizes.append(np.size(x))
-            return ndtr_reference(x)
+            return record_ndtr
 
-        monkeypatch.setattr(combo_module, "_QUAD_TOL", -1.0)
-        monkeypatch.setattr(oracles_module, "_QUAD_TOL", -1.0)
-        monkeypatch.setattr(combo_module, "_level_nodes", record_level)
-        monkeypatch.setattr(oracles_module, "ndtr", record_ndtr)
+        for module in (combo_module, oracles_module):
+            monkeypatch.setattr(module, "_QUAD_TOL", -1.0)
+            monkeypatch.setattr(module, "ndtr", recording(module))
         for kernel in (bvn_upper, bvn_upper_reference):
             with pytest.raises(NumericalError, match="failed to converge"):
                 kernel(1.96, 2.2, 0.6)
+        panels = [size // 16 for size in sizes[oracles_module.__name__]]
         assert panels == [panels[0] * 2**k for k in range(9)]
-        assert sizes == [16 * n for n in panels]
+        # one pass over the first two levels and the spare row between them, then one a level
+        first = 16 * (panels[0] + 1 + panels[1])
+        assert sizes[combo_module.__name__] == [first] + [16 * n for n in panels[2:]]
 
     def test_panel_tables_are_read_only(self):
-        steps, weights = combo_module._panel_table(7)
-        assert steps.tolist() == list(range(8))
-        assert weights.tobytes() == np.tile(combo_module._GL_W, 7).tobytes()
-        for array in (steps, weights):
+        multipliers, offsets, weights = combo_module._two_level_table(7)
+        assert multipliers.tolist() == list(range(8)) + [k / 2 for k in range(15)]
+        gl_x = combo_module._GL_X
+        assert offsets.tobytes() == np.vstack([gl_x] * 8 + [gl_x / 2] * 14).tobytes()
+        assert weights.tobytes() == np.tile(combo_module._GL_W, 14).tobytes()
+        for array in (multipliers, offsets, weights):
             with pytest.raises(ValueError):
-                array[0] = 1.0
+                array.flat[0] = 1.0
 
 
 def pair_correlation(w1, w2, columns):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rmwtest.combo import ComboSpec, combo_pvalue, run_combo_test
 from rmwtest.dataset import build_risk_table
-from rmwtest.errors import DataError
+from rmwtest.errors import DataError, NumericalError
 import rmwtest.harness as harness_module
 from rmwtest.harness import (
     AssuranceSpec,
@@ -44,6 +44,13 @@ MINI = Scenario(
     "mini", 100, 24.0, 6.0,
     PiecewiseHazard(knots=(), rates=(0.0462,)),
     PiecewiseHazard(knots=(6.0,), rates=(0.0462, 0.0289)),
+)
+
+# Four subjects and little follow-up: many replicates have no event or no variance.
+TINY = Scenario(
+    "tiny", 4, 2.0, 1.0,
+    PiecewiseHazard(knots=(), rates=(0.3,)),
+    PiecewiseHazard(knots=(), rates=(0.3,)),
 )
 
 
@@ -150,6 +157,31 @@ class TestEstimatePower:
         first, _ = _decision_block(MINI, plan, seed=9, start=0, stop=70)
         rest, _ = _decision_block(MINI, plan, seed=9, start=70, stop=120)
         assert np.array_equal(whole, np.vstack([first, rest]))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        scenario=st.sampled_from([MINI, TINY]),
+        seed=st.integers(0, 2**64 - 1),
+        cuts=st.lists(st.integers(0, 60), min_size=3, max_size=3, unique=True).map(sorted),
+    )
+    def test_blocks_do_not_depend_on_where_they_start(self, scenario, seed, cuts):
+        """A block's rows and degenerate entries are those of its two halves
+        stacked, and those of each replicate on its own fresh generator."""
+        a, b, c = cuts
+        plan = _RunPlan(paper_methods())
+        whole = _decision_block(scenario, plan, seed, a, c)
+        first, rest = _decision_block(scenario, plan, seed, a, b), _decision_block(scenario, plan, seed, b, c)
+        assert np.array_equal(whole[0], np.vstack([first[0], rest[0]]))
+        assert whole[1] == first[1] + rest[1]
+        rows, degenerate = [], []
+        for rep in range(a, c):
+            try:
+                rows.append(_replicate_row(plan, *simulate_trial(scenario, seed, rep)))
+            except (DataError, NumericalError) as exc:
+                rows.append(np.zeros(len(plan.methods), dtype=bool))
+                degenerate.append((rep, str(exc)))
+        assert np.array_equal(whole[0], np.array(rows).reshape(c - a, len(plan.methods)))
+        assert whole[1] == degenerate
 
     def test_one_run_plan_per_call(self, monkeypatch):
         """Every block of an estimate_power call shares the plan it builds."""

@@ -1,5 +1,6 @@
 """Tests for piecewise-exponential sampling and the built-in trial scenarios."""
 
+import functools
 import math
 import warnings
 from dataclasses import asdict
@@ -152,8 +153,9 @@ class TestFrozenReference:
         self.assert_evaluations_match(hazard, "cumulative_hazard", cumulative_hazard_reference, starts, extra)
 
     @staticmethod
-    def assert_same_trial(scenario, seed, replicate):
-        got, got_warnings = recording_warnings(simulate_trial, scenario, seed, replicate)
+    def assert_same_trial(scenario, seed, replicate, rng=None):
+        simulate = functools.partial(simulate_trial, rng=rng)
+        got, got_warnings = recording_warnings(simulate, scenario, seed, replicate)
         want, want_warnings = recording_warnings(simulate_trial_reference, scenario, seed, replicate)
         for col, ref in zip(got, want, strict=True):
             assert (col.dtype, col.tobytes()) == (ref.dtype, ref.tobytes())
@@ -180,6 +182,45 @@ class TestFrozenReference:
     def test_random_scenarios(self, arm0, arm1, half, study_length, recruit_share, seed, replicate):
         scenario = Scenario("random", 2 * half, study_length, recruit_share * study_length, arm0, arm1)
         self.assert_same_trial(scenario, seed, replicate)
+
+    @given(
+        arm0=hazards(),
+        arm1=hazards(),
+        half=st.integers(1, 100),
+        seed=st.integers(0, 2**64 - 1),
+        replicate=st.integers(0, 2**64 - 1),
+        other_key=st.integers(0, 2**128 - 1),
+        doubles=st.integers(0, 9),
+        odd_uint32s=st.integers(0, 4).map(lambda k: 2 * k + 1),
+    )
+    @example(
+        arm0=EDGE_HAZARDS[1], arm1=EDGE_HAZARDS[2], half=50,
+        seed=2**64 - 1, replicate=2**64 - 1, other_key=0, doubles=3, odd_uint32s=1,
+    )
+    def test_reused_generator_gives_fresh_generator_bytes(
+        self, arm0, arm1, half, seed, replicate, other_key, doubles, odd_uint32s
+    ):
+        """A generator that drew on another key, an odd number of 32-bit values
+        last, is reset to each call's stream: two calls in a row give the
+        reference's columns, and leave it in the state a fresh generator of
+        that stream reaches after the same draw."""
+        scenario = Scenario("random", 2 * half, 24.0, 12.0, arm0, arm1)
+        rng = np.random.Generator(np.random.Philox(key=other_key))
+        rng.random(doubles)
+        rng.integers(0, 2**32, size=odd_uint32s, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        for s, r in ((seed, replicate), (replicate, seed)):
+            self.assert_same_trial(scenario, s, r, rng)
+            fresh = np.random.Generator(np.random.Philox(key=(r << 64) | s))
+            fresh.random(2 * scenario.n_total)
+            assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+
+    @pytest.mark.parametrize(
+        "rng", [np.random.Generator(np.random.PCG64(1)), np.random.Philox(1), np.random.default_rng(1)]
+    )
+    def test_generator_over_another_bit_generator_raises(self, rng):
+        with pytest.raises(TypeError, match="Generator over Philox"):
+            simulate_trial(BUILTIN_SCENARIOS["high_delayed"], 1, 0, rng=rng)
 
 
 def sample(h, u):

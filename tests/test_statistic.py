@@ -303,6 +303,9 @@ class TestExactRowSums:
     @example(x=np.array([[-0.0, -0.0], [-0.0, -0.0]]))
     @example(x=np.array([[5e-324, -5e-324]]))
     @example(x=np.zeros((1, 0)))
+    @example(x=np.zeros((2, 3)))  # no nonzero value: every row falls back to fsum
+    @example(x=np.array([[0.0, -0.0], [0.0, -3.5]]))  # one nonzero value sets both ends of the span
+    @example(x=np.array([[0.0, math.nan], [1.0, 0.0]]))  # NaN is the largest magnitude, not a zero
     def test_each_row_is_fsum(self, x):
         want = [_fsum_hex(row) for row in x.tolist()]
         errors = [w for w in want if isinstance(w, type)]
