@@ -201,39 +201,46 @@ def _two_level_table(n_panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return table
 
 
-def _first_levels(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Edges and nodes of the n_panels and 2 * n_panels levels on [lo, hi].
+def _level(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """Edges, nodes (one row of 16 per panel), half panel width and node
+    weights of one quadrature level, built from ``np.linspace``; uncached."""
+    edges = np.linspace(lo, hi, n_panels + 1)
+    half = 0.5 * (hi - lo) / n_panels
+    nodes = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _GL_X
+    return edges, nodes, half, np.tile(_GL_W, n_panels)
+
+
+def _first_levels(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges, nodes and weights of the n_panels and 2 * n_panels levels on [lo, hi].
 
     The edges are ``np.linspace(lo, hi, m + 1)`` for m = n_panels, then for
     m = 2 * n_panels, bit for bit: linspace's step times the integers plus
     lo, with the last edge set to hi. The nodes are each panel's center
     plus its half width times the abscissae, in the table's rows of 16; no
-    level reads the spare row.
+    level reads the spare row. The weights are the table's.
 
     Above the smallest normal number, halving a step or a half width is
     exact, so the fine level's k-th edge is k / 2 coarse steps and its
     offsets are the halved abscissae times the coarse half width: one
     multiply-add makes every edge, and one multiply every offset. Below it,
     where a step may also underflow to 0 and linspace takes a branch of its
-    own, both levels come from linspace and their own half widths.
+    own, each level comes from ``_level``.
     """
     n = n_panels
-    multipliers, offsets, _ = _two_level_table(n)
+    multipliers, offsets, weights = _two_level_table(n)
     span = hi - lo
-    if 0.5 * span / (2 * n) > sys.float_info.min:
-        edges = multipliers * (span / n)
-        edges += lo
-        edges[n] = edges[-1] = hi
-        nodes = 0.5 * span / n * offsets
-    else:
-        edges = np.concatenate((np.linspace(lo, hi, n + 1), np.linspace(lo, hi, 2 * n + 1)))
-        coarse_offsets = np.tile(0.5 * span / n * _GL_X, (n + 1, 1))
-        fine_offsets = np.tile(0.5 * span / (2 * n) * _GL_X, (2 * n, 1))
-        nodes = np.concatenate((coarse_offsets, fine_offsets))
+    if not 0.5 * span / (2 * n) > sys.float_info.min:
+        coarse, fine = _level(lo, hi, n), _level(lo, hi, 2 * n)
+        nodes = np.concatenate((coarse[1], coarse[1][-1:], fine[1]))  # any spare row will do
+        return np.concatenate((coarse[0], fine[0])), nodes, weights
+    edges = multipliers * (span / n)
+    edges += lo
+    edges[n] = edges[-1] = hi
+    nodes = 0.5 * span / n * offsets
     centers = edges[:-1] + edges[1:]
     centers *= 0.5
     nodes += centers[:, None]
-    return edges, nodes
+    return edges, nodes, weights
 
 
 def _middle_integral(lo: float, hi: float, b: float, rho: float, s: float) -> float:
@@ -244,8 +251,8 @@ def _middle_integral(lo: float, hi: float, b: float, rho: float, s: float) -> fl
     agree to _QUAD_TOL. Every call needs the first two levels: one cached
     table per panel count sets them up together (``_first_levels``), and
     one pass of the integrand serves both. The rare later levels are set up
-    one at a time, uncached. Every level returns the very bits of panels
-    built one level at a time from ``np.linspace``.
+    one at a time, uncached (``_level``). Every level returns the very bits
+    of panels built one level at a time from ``np.linspace``.
     """
     if hi <= lo:
         return 0.0
@@ -256,8 +263,8 @@ def _middle_integral(lo: float, hi: float, b: float, rho: float, s: float) -> fl
 
     width = min(0.5, 0.5 * s / abs(rho))
     n_panels = max(4, int(math.ceil((hi - lo) / width)))
-    f = integrand(_first_levels(lo, hi, n_panels)[1].ravel())
-    w = _two_level_table(n_panels)[2]
+    _, nodes, w = _first_levels(lo, hi, n_panels)
+    f = integrand(nodes.ravel())
     coarse = n_panels * _GL_X.size  # the coarse level's values; the spare row's follow
     previous = 0.5 * (hi - lo) / n_panels * float(np.dot(f[:coarse], w[:coarse]))
     value = 0.5 * (hi - lo) / (2 * n_panels) * float(np.dot(f[coarse + _GL_X.size :], w))
@@ -268,10 +275,8 @@ def _middle_integral(lo: float, hi: float, b: float, rho: float, s: float) -> fl
             raise NumericalError("bvn quadrature failed to converge")
         levels += 1
         n_panels *= 2
-        edges = np.linspace(lo, hi, 2 * n_panels + 1)
-        half = 0.5 * (hi - lo) / (2 * n_panels)
-        x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _GL_X
-        previous, value = value, half * float(np.dot(integrand(x.ravel()), np.tile(_GL_W, 2 * n_panels)))
+        _, nodes, half, w = _level(lo, hi, 2 * n_panels)
+        previous, value = value, half * float(np.dot(integrand(nodes.ravel()), w))
     return value
 
 

@@ -132,31 +132,30 @@ def simulate_trial(
     draw, in a fixed order: entry uniforms for all subjects, then event
     uniforms for all subjects, with the control arm in the first half.
 
-    The draw comes from ``Philox(key=(replicate << 64) | seed)``. Without
-    ``rng`` the call builds that generator. A ``Generator`` over ``Philox``
-    passed as ``rng`` is set to it instead, whatever it drew before: its
-    whole state is replaced by that key, a zero counter and an empty
-    buffer, so the columns are those a fresh generator gives, and a loop
-    over replicates can reuse one generator. An ``rng`` over any other bit
-    generator raises ``TypeError``.
+    The draw comes from ``Philox(key=(replicate << 64) | seed)``: the
+    generator's whole state is set to that key, a zero counter and an empty
+    buffer before it draws. Without ``rng`` the call makes a seeded
+    ``Generator(Philox(0))`` to set; a ``Generator`` over ``Philox`` passed
+    as ``rng`` is set the same way, whatever it drew before, so a loop over
+    replicates can reuse one generator and save building one per call. An
+    ``rng`` over any other bit generator raises ``TypeError``.
     """
     n = scenario.n_total
     half = n // 2
-    key = _stream_key(seed, replicate)
+    _stream_key(seed, replicate)  # checks the range
     if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=key))
-    elif isinstance(rng, np.random.Generator) and type(rng.bit_generator) is np.random.Philox:
-        # a keyed counter-based generator is fully set by its key and counter
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (seed, replicate)},  # key's 64-bit words, low first
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-    else:
+        rng = np.random.Generator(np.random.Philox(0))  # seeded, so it reads no OS entropy
+    if not (isinstance(rng, np.random.Generator) and type(rng.bit_generator) is np.random.Philox):
         raise TypeError(f"rng must be a numpy Generator over Philox, got {rng!r}")
+    # a keyed counter-based generator is fully set by its key and counter
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, replicate)},  # the key's 64-bit words, low first
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     entry, cum = rng.random(2 * n).reshape(2, n)
     entry *= scenario.recruit_duration
     # map draws onto (0, 1] so the inverted hazard is finite, and take -log, in place

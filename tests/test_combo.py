@@ -234,8 +234,9 @@ class TestQuadratureBits:
             cases.append((lo, hi, int(rng.integers(1, 3000))))
         try:
             for lo, hi, n in cases:
-                edges, nodes = combo_module._first_levels(lo, hi, n)
+                edges, nodes, weights = combo_module._first_levels(lo, hi, n)
                 assert nodes.shape == (3 * n + 1, 16)
+                assert weights.tobytes() == np.tile(combo_module._GL_W, 2 * n).tobytes()
                 levels = ((n, edges[: n + 1], nodes[:n]), (2 * n, edges[n + 1 :], nodes[n + 1 :]))
                 for m, level_edges, level_nodes in levels:
                     expected = np.linspace(lo, hi, m + 1)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 import warnings
 from dataclasses import asdict
 
@@ -221,6 +222,17 @@ class TestFrozenReference:
     def test_generator_over_another_bit_generator_raises(self, rng):
         with pytest.raises(TypeError, match="Generator over Philox"):
             simulate_trial(BUILTIN_SCENARIOS["high_delayed"], 1, 0, rng=rng)
+
+    def test_default_generator_reads_no_os_entropy(self, monkeypatch):
+        """Without rng the call seeds its own generator; an unseeded one
+        (``Philox(key=...)``) reads OS entropy through ``random._urandom``."""
+        reads = []
+        monkeypatch.setattr(random, "_urandom", lambda n: reads.append(n) or bytes(n))
+        np.random.Philox(key=5)
+        assert reads  # the spy sees the reads a keyed Philox makes
+        reads.clear()
+        simulate_trial(BUILTIN_SCENARIOS["high_delayed"], 1, 0)
+        assert reads == []
 
 
 def sample(h, u):
